@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatch,
     InvariantViolation,
     LengthMismatch,
+    ValidationError,
 )
 from .linalg import DensityMatrix
 from .loo import GramFactor, expand, gram_matrix, loo_basis, modulus_vector
@@ -32,6 +33,8 @@ from .skewinfo import correlation, skew_information
 
 # Hard cap on enumerated permutation candidates for exhaustive searches.
 EXHAUSTIVE_CAP = 10**6
+# Permutation tuples evaluated per array pass of the sum-bound search.
+_CHUNK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,12 @@ class SearchStrategy:
     kind: str = "exhaustive"  # "exhaustive" | "sampled"
     n_samples: int = 200
     seed: int = 0
+
+    def __post_init__(self):
+        if self.kind not in ("exhaustive", "sampled"):
+            raise ValidationError(f"unknown strategy kind {self.kind!r}")
+        if self.n_samples < 0:
+            raise ValidationError(f"sample count {self.n_samples} is negative")
 
 
 def _as_modulus_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -154,30 +163,6 @@ def spq_step_identities(x, y) -> list[tuple[str, float, float]]:
     return out
 
 
-def _product_pair_candidates(n: int, strategy: SearchStrategy):
-    """Yield (pi_A, pi_B) index-tuple pairs in a deterministic order."""
-    if strategy.kind == "exhaustive":
-        count = math.factorial(n) ** 2
-        if count > EXHAUSTIVE_CAP:
-            raise ComplexityRefusal(
-                f"exhaustive pair search over {count} candidates exceeds cap "
-                f"{EXHAUSTIVE_CAP}; use the sampled strategy"
-            )
-        perms = list(itertools.permutations(range(n)))
-        for pa in perms:
-            for pb in perms:
-                yield pa, pb
-        return
-    if strategy.kind != "sampled":
-        raise ComplexityRefusal(f"unknown strategy kind {strategy.kind!r}")
-    identity = tuple(range(n))
-    yield identity, identity
-    # sorted pairings are appended by the caller (they need x, y)
-    rng = np.random.default_rng(strategy.seed)
-    for _ in range(strategy.n_samples):
-        yield tuple(rng.permutation(n)), tuple(rng.permutation(n))
-
-
 def best_permuted_product_bound(
     x,
     y,
@@ -188,52 +173,98 @@ def best_permuted_product_bound(
 
     Returns (value, (pi_A, pi_B), index) where index is (k,) for the I chain
     or (p, q) for the S table.  Both chains descend for any fixed pair, so
-    the best index is always the head (k = 2, resp. (2, 1)); the search is
-    over permutation pairs.  Exhaustive enumeration requires n! ** 2 within
-    the cap, otherwise a seeded sample (always including the identity pair
-    and both sorted pairings) certifies a lower bound on the true max.
+    the best index is always the head (k = 2, resp. (2, 1)), whose value
+    total - (x_i y_l - y_k x_j)^2 depends only on (i, j) = pi_A[:2] and
+    (k, l) = pi_B[:2].  The optimum over all n! ** 2 pairs is therefore an
+    extremum over index quadruples, found exactly in O(n^4) time and memory.
+    The witness is the first maximizing pair in lexicographic enumeration
+    order: (i, j) and (k, l), each completed by the remaining indices in
+    ascending order.
+
+    ``strategy`` is accepted for compatibility and does not change the
+    result: a sampled search could never beat the exact optimum.
     """
     x, y = _as_modulus_pair(x, y)
     n = len(x)
     if which not in ("Ik", "Spq"):
         raise ValueError(f"unknown chain selector {which!r}")
+    if n < 2:
+        raise DimensionMismatch("permuted product bound needs at least 2 components")
     total = float(np.sum(x * x) * np.sum(y * y))
 
-    candidates = list(_product_pair_candidates(n, strategy))
-    if strategy.kind == "sampled":
-        asc_x = tuple(int(i) for i in np.argsort(x, kind="stable"))
-        asc_y = tuple(int(i) for i in np.argsort(y, kind="stable"))
-        desc_y = tuple(reversed(asc_y))
-        candidates = [candidates[0], (asc_x, asc_y), (asc_x, desc_y)] + candidates[1:]
+    # V[i, j, k, l] = total - (x_i y_l - y_k x_j)^2, with i = j or k = l excluded
+    P = np.multiply.outer(x, y)
+    V = P[:, None, None, :] - P[None, :, :, None]
+    np.square(V, out=V)
+    np.subtract(total, V, out=V)
+    diag = np.arange(n)
+    V[diag, diag] = -np.inf
+    V[:, :, diag, diag] = -np.inf
+    i, j, k, l = (int(a) for a in np.unravel_index(np.argmax(V), V.shape))
 
-    best = -np.inf
-    best_pair = None
-    for pa, pb in candidates:
-        # head of either chain: total minus the first cross-difference square
-        q = (x[pa[0]] * y[pb[1]] - y[pb[0]] * x[pa[1]]) ** 2
-        val = total - q
-        if val > best:
-            best = val
-            best_pair = (pa, pb)
+    def completed(a: int, b: int) -> tuple[int, ...]:
+        return (a, b) + tuple(r for r in range(n) if r not in (a, b))
+
     index = (2,) if which == "Ik" else (2, 1)
-    return float(best), best_pair, index
+    return float(V[i, j, k, l]), (completed(i, j), completed(k, l)), index
 
 
-def parallelogram_value(vectors: list[np.ndarray], perms: list[tuple[int, ...]]) -> float:
-    """The sum-form lower bound for one tuple of permutations.
+def _tuple_values(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The sum-form lower bound of each row of a (k, N, n) permutation array.
 
     (1/(2N-2)) [ sum_{i<j} ||Xi^pi + Xj^pj||^2
                  + (2/(N(N-1))) (sum_{i<j} ||Xi^pi - Xj^pj||)^2 ]
+
+    The pairs are accumulated in the order i < j, row by row, so each value
+    is the same floating-point sum a tuple-at-a-time loop would form.
     """
-    N = len(vectors)
-    Xp = [np.asarray(v)[list(p)] for v, p in zip(vectors, perms)]
-    plus = 0.0
-    minus = 0.0
+    N = len(X)
+    Xp = [X[i][rows[:, i, :]] for i in range(N)]
+    plus = np.zeros(len(rows))
+    minus = np.zeros(len(rows))
     for i in range(N):
         for j in range(i + 1, N):
-            plus += float(np.sum((Xp[i] + Xp[j]) ** 2))
-            minus += float(np.sqrt(np.sum((Xp[i] - Xp[j]) ** 2)))
+            plus += np.sum((Xp[i] + Xp[j]) ** 2, axis=1)
+            minus += np.sqrt(np.sum((Xp[i] - Xp[j]) ** 2, axis=1))
     return (plus + (2.0 / (N * (N - 1))) * minus**2) / (2.0 * N - 2.0)
+
+
+def _candidate_rows(X: np.ndarray, strategy: SearchStrategy):
+    """Yield the candidate permutation tuples as (k, N, n) chunks, in search order.
+
+    Exhaustive: the first permutation is the identity and the others run
+    over n! ** (N-1) tuples in itertools.product order.  Sampled: the
+    identity tuple, the sorting tuple, then ``n_samples`` seeded draws.
+    """
+    N, n = X.shape
+    if strategy.kind == "exhaustive":
+        count = math.factorial(n) ** (N - 1)
+        if count > EXHAUSTIVE_CAP:
+            raise ComplexityRefusal(
+                f"exhaustive tuple search over {count} candidates exceeds cap "
+                f"{EXHAUSTIVE_CAP}; use the sampled strategy"
+            )
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+        shape = (len(perms),) * (N - 1)
+        for start in range(0, count, _CHUNK_ROWS):
+            flat = np.arange(start, min(start + _CHUNK_ROWS, count))
+            rows = np.empty((len(flat), N, n), dtype=np.intp)
+            rows[:, 0] = np.arange(n)
+            for i, idx in enumerate(np.unravel_index(flat, shape), start=1):
+                rows[:, i] = perms[idx]
+            yield rows
+        return
+    rows = np.empty((strategy.n_samples + 2, N, n), dtype=np.intp)
+    rows[0] = np.arange(n)
+    rows[1] = np.argsort(X, axis=1, kind="stable")
+    # permuted shuffles each length-n row in C order, drawing from the
+    # stream exactly as successive rng.permutation(n) calls do
+    rng = np.random.default_rng(strategy.seed)
+    rows[2:] = rng.permuted(
+        np.broadcast_to(np.arange(n), (strategy.n_samples, N, n)), axis=-1
+    )
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        yield rows[start : start + _CHUNK_ROWS]
 
 
 def sum_bound_parallelogram(
@@ -241,10 +272,14 @@ def sum_bound_parallelogram(
 ) -> tuple[float, list[tuple[int, ...]]]:
     """Best parallelogram-law sum bound over candidate permutation tuples.
 
-    Returns (value, witness tuple of permutations).  The bound is invariant
-    under composing every permutation with a common one, so exhaustive
-    enumeration fixes the first permutation to the identity and sweeps the
-    remaining n! ** (N-1) tuples (capped).
+    Returns (value, witness tuple of permutations).  For N = 2 the
+    parallelogram law gives every tuple the value ||X1||^2 + ||X2||^2, which
+    is returned with the identity witness under either strategy.  For N >= 3
+    the bound is invariant under composing every permutation with a common
+    one, so exhaustive enumeration fixes the first permutation to the
+    identity and sweeps the remaining n! ** (N-1) tuples (capped); the
+    candidates are evaluated as arrays, chunk by chunk, and the witness is
+    the first maximum in search order.
     """
     N = len(moduli)
     if N < 2:
@@ -254,41 +289,21 @@ def sum_bound_parallelogram(
     for v in vectors:
         if v.shape != (n,):
             raise LengthMismatch("modulus vectors must share one length")
-    identity = tuple(range(n))
+    if N == 2:
+        identity = tuple(range(n))
+        value = float(np.sum(vectors[0] ** 2) + np.sum(vectors[1] ** 2))
+        return value, [identity, identity]
 
-    if strategy.kind == "exhaustive":
-        count = math.factorial(n) ** (N - 1)
-        if count > EXHAUSTIVE_CAP:
-            raise ComplexityRefusal(
-                f"exhaustive tuple search over {count} candidates exceeds cap "
-                f"{EXHAUSTIVE_CAP}; use the sampled strategy"
-            )
-        perms = list(itertools.permutations(range(n)))
-        candidates = (
-            (identity,) + rest for rest in itertools.product(perms, repeat=N - 1)
-        )
-    elif strategy.kind == "sampled":
-        rng = np.random.default_rng(strategy.seed)
-        cand_list = [
-            tuple(identity for _ in range(N)),
-            tuple(
-                tuple(int(i) for i in np.argsort(v, kind="stable")) for v in vectors
-            ),
-        ]
-        for _ in range(strategy.n_samples):
-            cand_list.append(tuple(tuple(rng.permutation(n)) for _ in range(N)))
-        candidates = iter(cand_list)
-    else:
-        raise ComplexityRefusal(f"unknown strategy kind {strategy.kind!r}")
-
+    X = np.array(vectors)
     best = -np.inf
     witness = None
-    for tup in candidates:
-        val = parallelogram_value(vectors, list(tup))
-        if val > best:
-            best = val
-            witness = list(tup)
-    return float(best), witness
+    for rows in _candidate_rows(X, strategy):
+        values = _tuple_values(X, rows)
+        r = int(np.argmax(values))
+        if values[r] > best:
+            best = float(values[r])
+            witness = rows[r]
+    return best, [tuple(int(i) for i in p) for p in witness]
 
 
 def sum_bound_norm(
@@ -354,9 +369,15 @@ def product_chain(
 
 
 def check_product_chain(pc: ProductChain, tol: float = 1e-9) -> None:
-    """Assert every ordering relation of the chains; raise InvariantViolation."""
+    """Assert every ordering relation of the chains; raise InvariantViolation.
+
+    Both tolerances scale with max(1, |product|): absolute at unit scale,
+    relative for large observables.
+    """
     n = len(pc.I_seq)
-    eq_tol = 1e-10
+    scale = max(1.0, abs(pc.product))
+    eq_tol = 1e-10 * scale
+    tol = tol * scale
     if abs(pc.I_seq[0] - pc.product) > max(eq_tol, tol):
         raise InvariantViolation(
             f"I_1 = {pc.I_seq[0]!r} differs from product {pc.product!r}"
@@ -417,7 +438,12 @@ def sum_bound_report(
 
 
 def check_sum_report(report: SumBoundReport, tol: float = 1e-9) -> None:
-    """Assert the sum dominates both of its lower bounds."""
+    """Assert the sum dominates both of its lower bounds.
+
+    The tolerance scales with max(1, sum): absolute at unit scale, relative
+    for large observables.
+    """
+    tol = tol * max(1.0, abs(report.sum_value))
     if report.sum_value < report.parallelogram - tol:
         raise InvariantViolation(
             f"sum {report.sum_value!r} below parallelogram bound {report.parallelogram!r}"

@@ -191,10 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    strategy = SearchStrategy(kind=args.strategy, n_samples=args.samples, seed=args.seed)
     out = sys.stdout
     err = sys.stderr
     try:
+        strategy = SearchStrategy(kind=args.strategy, n_samples=args.samples, seed=args.seed)
         if args.out is not None:
             out = open(args.out, "w", encoding="utf-8")
         try:

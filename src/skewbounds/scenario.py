@@ -24,6 +24,8 @@ entries are numeric [re, im] pairs.
 
 from __future__ import annotations
 
+import ast
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,15 +36,81 @@ from .errors import ParseError, ValidationError
 from .linalg import DensityMatrix, as_observable
 from .metrics import MetricSpec, parse_metric
 
-_EXPR_NAMES = {
+_FUNCTIONS = {
     "sin": math.sin,
     "cos": math.cos,
     "tan": math.tan,
     "sqrt": math.sqrt,
     "exp": math.exp,
     "abs": abs,
-    "pi": math.pi,
 }
+_EXPR_GLOBALS = {"__builtins__": {}, "pi": math.pi, **_FUNCTIONS}
+_EXPR_NAMES = {"theta", "pi", *_FUNCTIONS}
+_EXPR_NODES = (
+    ast.Expression,
+    ast.Constant,
+    ast.Name,
+    ast.Load,
+    ast.Call,
+    ast.BinOp,
+    ast.UnaryOp,
+    ast.Add,
+    ast.Sub,
+    ast.Mult,
+    ast.Div,
+    ast.Pow,
+    ast.USub,
+    ast.UAdd,
+)
+
+
+def _check_node(node: ast.AST, text: str) -> None:
+    """Raise ValidationError unless the node is on the expression whitelist."""
+    if not isinstance(node, _EXPR_NODES):
+        raise ValidationError(
+            f"bad expression {text!r}: {type(node).__name__} is not allowed"
+        )
+    if isinstance(node, ast.Constant) and type(node.value) not in (int, float):
+        raise ValidationError(f"bad expression {text!r}: {node.value!r} is not a number")
+    if isinstance(node, ast.Name) and node.id not in _EXPR_NAMES:
+        raise ValidationError(f"bad expression {text!r}: unknown name {node.id!r}")
+    if isinstance(node, ast.Call) and not (
+        isinstance(node.func, ast.Name)
+        and node.func.id in _FUNCTIONS
+        and len(node.args) == 1
+        and not node.keywords
+    ):
+        raise ValidationError(
+            f"bad expression {text!r}: only one-argument calls of "
+            f"{', '.join(_FUNCTIONS)} are allowed"
+        )
+
+
+# One entry per distinct expression string read, so a sweep compiles each
+# string once rather than once per grid point.
+@functools.cache
+def _compile_expression(text: str):
+    """Check an expression against the whitelist; return (code, uses_theta).
+
+    Allowed: numbers, + - * / **, unary signs, the names theta and pi, and
+    single-argument calls of sin cos tan sqrt exp abs.  Numbers become
+    floats, so a power of integer literals cannot grow without bound.
+    """
+    try:
+        tree = ast.parse(text, mode="eval")
+        nodes = list(ast.walk(tree))
+        for node in nodes:
+            _check_node(node, text)
+            if isinstance(node, ast.Constant):
+                node.value = float(node.value)
+        code = compile(tree, "<expression>", "eval")
+    except SyntaxError as exc:
+        raise ValidationError(f"bad expression {text!r}: {exc.msg}") from exc
+    except (RecursionError, MemoryError) as exc:
+        # the parser's and the compiler's limits on nesting depth
+        raise ValidationError(f"bad expression {text[:40]!r}...: nested too deeply") from exc
+    uses_theta = any(isinstance(n, ast.Name) and n.id == "theta" for n in nodes)
+    return code, uses_theta
 
 
 def eval_scalar(value, theta: float | None = None) -> float:
@@ -50,25 +118,21 @@ def eval_scalar(value, theta: float | None = None) -> float:
     if isinstance(value, (int, float)):
         return float(value)
     if isinstance(value, str):
-        names = dict(_EXPR_NAMES)
-        if theta is not None:
-            names["theta"] = theta
-        elif "theta" in value:
+        code, uses_theta = _compile_expression(value)
+        if uses_theta and theta is None:
             raise ValidationError(
                 f"expression {value!r} uses theta but no theta value is bound"
             )
         try:
-            return float(eval(value, {"__builtins__": {}}, names))
-        except ValidationError:
-            raise
-        except Exception as exc:
+            return float(eval(code, _EXPR_GLOBALS, {"theta": theta}))
+        except (ArithmeticError, ValueError, TypeError) as exc:
             raise ValidationError(f"bad expression {value!r}: {exc}") from exc
     raise ValidationError(f"expected number or expression, got {value!r}")
 
 
 def _uses_theta(value) -> bool:
     if isinstance(value, str):
-        return "theta" in value
+        return _compile_expression(value)[1]
     if isinstance(value, (list, tuple)):
         return any(_uses_theta(v) for v in value)
     return False
@@ -180,7 +244,7 @@ def _parse_task(entry) -> Task:
     if kind == "sweep":
         try:
             lo, hi = body["range"]
-            return SweepTask(
+            task = SweepTask(
                 param=body.get("param", "theta"),
                 lo=float(lo),
                 hi=float(hi),
@@ -188,6 +252,13 @@ def _parse_task(entry) -> Task:
             )
         except (TypeError, KeyError, ValueError) as exc:
             raise ParseError(f"sweep task needs param/range/steps: {entry!r}") from exc
+        if task.param != "theta":
+            raise ValidationError(
+                f"sweep parameter {task.param!r} is not supported; only theta can be swept"
+            )
+        if task.steps < 1:
+            raise ValidationError(f"sweep needs at least 1 step, got {task.steps}")
+        return task
     raise ParseError(f"unknown task kind {kind!r}")
 
 

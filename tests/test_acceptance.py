@@ -20,7 +20,6 @@ from skewbounds.bounds import (
     sum_bound_report,
     sum_bound_parallelogram,
     table_Spq,
-    parallelogram_value,
 )
 from skewbounds.cli import main
 from skewbounds.linalg import PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, as_observable

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_density, random_hermitian, random_unitary
+from oracles import enumerated_product_bound, loop_sum_bound, parallelogram_value
 from skewbounds.bounds import (
     SearchStrategy,
     best_permuted_product_bound,
@@ -22,15 +23,43 @@ from skewbounds.bounds import (
     sum_bound_report,
     sum_bound_parallelogram,
     table_Spq,
-    parallelogram_value,
 )
-from skewbounds.errors import ComplexityRefusal, DimensionMismatch, LengthMismatch
+from skewbounds.errors import (
+    ComplexityRefusal,
+    DimensionMismatch,
+    LengthMismatch,
+    ValidationError,
+)
 from skewbounds.linalg import DensityMatrix
 from skewbounds.loo import expand, gram_matrix, loo_basis, modulus_vector
 from skewbounds.metrics import make_metric
 from skewbounds.skewinfo import skew_information
 
 WY = make_metric("wy")
+
+# entries drawn from a few exact values, one decimal, or anywhere, so that
+# equal components, equal vectors and tied candidate values all occur
+tie_prone_entries = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    st.floats(0.0, 3.0).map(lambda v: round(v, 1)),
+    st.floats(0.0, 3.0),
+)
+
+
+def tie_prone_vectors(counts, lengths):
+    """Lists of equal-length vectors of tie-prone entries; in some, the
+    second vector repeats the first."""
+
+    def build(shape):
+        N, n = shape
+        vec = st.lists(tie_prone_entries, min_size=n, max_size=n)
+        family = st.lists(vec, min_size=N, max_size=N)
+        return st.tuples(family, st.booleans()).map(
+            lambda fb: fb[0][:1] * 2 + fb[0][2:] if fb[1] else fb[0]
+        )
+
+    return st.tuples(counts, lengths).flatmap(build)
+
 
 modulus_vectors = st.integers(2, 6).flatmap(
     lambda n: st.tuples(
@@ -174,10 +203,35 @@ class TestPermutedProductBound:
         assert v1 == v2 and w1 == w2
         assert v1 <= float(np.sum(x**2) * np.sum(y**2)) + 1e-10
 
-    def test_exhaustive_refusal_beyond_cap(self):
+    def test_exact_optimum_beyond_enumeration_cap(self):
+        # (9!)^2 pairs would exceed the cap; the quadruple optimum needs 9^4
         x = np.ones(9)
-        with pytest.raises(ComplexityRefusal):
-            best_permuted_product_bound(x, x)  # (9!)^2 pairs
+        val, (pa, pb), _ = best_permuted_product_bound(x, x)
+        assert val == 81.0
+        assert pa == pb == (0, 1, 2, 3, 4, 5, 6, 7, 8)
+        rng = np.random.default_rng(16)
+        x, y = rng.uniform(0, 2, size=(2, 9))
+        total = float(np.sum(x * x) * np.sum(y * y))
+        best = max(
+            total - (x[i] * y[l] - y[k] * x[j]) ** 2
+            for i, j, k, l in itertools.product(range(9), repeat=4)
+            if i != j and k != l
+        )
+        val, (pa, pb), _ = best_permuted_product_bound(x, y)
+        assert val == best
+        assert sorted(pa) == sorted(pb) == list(range(9))
+        assert val == total - (x[pa[0]] * y[pb[1]] - y[pb[0]] * x[pa[1]]) ** 2
+
+    @given(tie_prone_vectors(st.just(2), st.integers(2, 4)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_enumeration(self, xy):
+        x, y = (np.array(v) for v in xy)
+        val, pair, _ = best_permuted_product_bound(x, y)
+        assert (val, pair) == enumerated_product_bound(x, y)
+
+    def test_needs_two_components(self):
+        with pytest.raises(DimensionMismatch):
+            best_permuted_product_bound([1.0], [2.0])
 
 
 class TestParallelogramSumBound:
@@ -251,6 +305,46 @@ class TestParallelogramSumBound:
     def test_needs_two_observables(self):
         with pytest.raises(DimensionMismatch):
             sum_bound_parallelogram([np.ones(4)])
+
+    def test_invalid_strategy(self):
+        with pytest.raises(ValidationError):
+            SearchStrategy(kind="annealing")
+        with pytest.raises(ValidationError):
+            SearchStrategy(kind="sampled", n_samples=-1)
+
+
+class TestSearchEquivalence:
+    """The array searches against the tuple-at-a-time loops in oracles.py."""
+
+    @given(
+        tie_prone_vectors(st.integers(3, 4), st.just(4)),
+        st.sampled_from(["exhaustive", "sampled"]),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_equals_loop(self, vecs, kind, seed):
+        vecs = [np.array(v) for v in vecs]
+        if kind == "exhaustive" and len(vecs) == 4:
+            kind = "sampled"  # N = 4 exhaustive has its own, shorter test
+        strategy = SearchStrategy(kind=kind, n_samples=60, seed=seed)
+        assert sum_bound_parallelogram(vecs, strategy) == loop_sum_bound(vecs, strategy)
+
+    @given(tie_prone_vectors(st.just(4), st.just(4)))
+    @settings(max_examples=3, deadline=None)
+    def test_kernel_equals_loop_n4_exhaustive(self, vecs):
+        # 13,824 tuples: about a second per example in the loop
+        vecs = [np.array(v) for v in vecs]
+        assert sum_bound_parallelogram(vecs) == loop_sum_bound(vecs)
+
+    @given(tie_prone_vectors(st.just(2), st.integers(2, 5)))
+    @settings(max_examples=40, deadline=None)
+    def test_n2_closed_form(self, vecs):
+        vecs = [np.array(v) for v in vecs]
+        loop_val, _ = loop_sum_bound(vecs)
+        for kind in ("exhaustive", "sampled"):
+            val, witness = sum_bound_parallelogram(vecs, SearchStrategy(kind=kind))
+            assert abs(val - loop_val) <= 1e-12 * max(loop_val, 1e-300)
+            assert witness == [tuple(range(len(vecs[0])))] * 2
 
 
 class TestSumBoundNorm:

@@ -1,9 +1,13 @@
 """CLI: subcommands, CSV shape, exit codes, and reproduction reports."""
 
+import dataclasses
+import importlib.resources
+
 import numpy as np
 import pytest
 
 from skewbounds.cli import main
+from skewbounds.scenario import parse_scenario_text, write_scenario
 
 QUBIT_CHAIN = """
 metric: "wyd:0.25"
@@ -114,6 +118,22 @@ class TestSweep:
         assert main(["--strategy", "sampled", "sweep", path]) == 1
 
 
+class TestScale:
+    def test_example_1_observables_times_100(self, tmp_path, capsys):
+        # I_1 and the product agree to rounding at 7.5e6, far beyond 1e-10
+        text = importlib.resources.files("skewbounds").joinpath(
+            "scenarios", "example1.yaml"
+        ).read_text(encoding="utf-8")
+        s = parse_scenario_text(text)
+        scaled = dataclasses.replace(
+            s, observables={k: 100 * v for k, v in s.observables.items()}
+        )
+        path = write(tmp_path, write_scenario(scaled))
+        assert main(["sweep", path]) == 0
+        header, rows = read_csv(capsys)
+        assert len(rows) == 100
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["compute", "/nonexistent/file.yaml"]) == 1
@@ -126,6 +146,26 @@ class TestExitCodes:
     def test_complexity_refusal(self, tmp_path, capsys):
         path = write(tmp_path, QUTRIT_SUM)
         assert main(["--strategy", "exhaustive", "compute", path]) == 3
+
+    def test_negative_sample_count(self, tmp_path, capsys):
+        path = write(tmp_path, QUTRIT_SUM)
+        assert main(["--strategy", "sampled", "--samples", "-1", "compute", path]) == 1
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            "range: [0.0, 3.0], steps: 0",
+            "range: [0.0, 3.0], steps: -3",
+            "param: phi, range: [0.0, 3.0], steps: 5",
+        ],
+    )
+    def test_bad_sweep(self, tmp_path, capsys, sweep):
+        text = QUBIT_CHAIN.replace("param: theta, range: [0.0, 3.0], steps: 5", sweep)
+        path = write(tmp_path, text)
+        assert main(["sweep", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestReproduce:

@@ -58,6 +58,27 @@ class TestEvalScalar:
         with pytest.raises(ValidationError):
             eval_scalar([1, 2])
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0.0*().__class__.__base__.__subclasses__().__len__()",
+            "(lambda: 1)()",
+            "[1][0]",
+            "sin(theta, 2)",
+            "cos(x=theta)",
+            "phi",
+            "'1'",
+            "9**9**9",
+        ],
+    )
+    def test_outside_whitelist(self, text):
+        with pytest.raises(ValidationError):
+            eval_scalar(text, 0.0)
+
+    def test_whitelist_covers_the_grammar(self):
+        got = eval_scalar("-(2**-1) + +abs(-pi) * exp(0) / tan(pi/4) - sin(theta)", 0.5)
+        assert got == pytest.approx(-0.5 + np.pi - np.sin(0.5))
+
 
 class TestParse:
     def test_minimal(self):

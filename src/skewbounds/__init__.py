@@ -5,47 +5,44 @@ from .bounds import (
     SearchStrategy,
     SumBoundReport,
     best_permuted_product_bound,
-    cauchy_bound,
     chain_Ik,
+    product_and_cauchy,
     product_chain,
     sum_bound_norm,
     sum_bound_report,
     sum_bound_parallelogram,
     table_Spq,
 )
-from .linalg import DensityMatrix, as_observable, commutator, eig_hermitian, matrix_power
-from .loo import GramFactor, expand, gram_matrix, loo_basis, modulus_vector
+from .linalg import DensityMatrix, as_observable, eig_hermitian
+from .loo import expand, gram_matrix, loo_basis, modulus_vector
 from .metrics import MetricSpec, make_metric, parse_metric
-from .skewinfo import correlation, skew_information, wyd_direct
+from .skewinfo import correlation, correlation_matrix, skew_information
 
 __all__ = [
     "DensityMatrix",
-    "GramFactor",
     "MetricSpec",
     "ProductChain",
     "SearchStrategy",
     "SumBoundReport",
     "as_observable",
     "best_permuted_product_bound",
-    "cauchy_bound",
     "chain_Ik",
-    "commutator",
     "correlation",
+    "correlation_matrix",
     "eig_hermitian",
     "expand",
     "gram_matrix",
     "loo_basis",
     "make_metric",
-    "matrix_power",
     "modulus_vector",
     "parse_metric",
+    "product_and_cauchy",
     "product_chain",
     "skew_information",
     "sum_bound_norm",
     "sum_bound_report",
     "sum_bound_parallelogram",
     "table_Spq",
-    "wyd_direct",
 ]
 
 __version__ = "0.1.0"

@@ -6,9 +6,10 @@ I_1 = I(A) I(B) and I_{d^2} = (sum x_i y_i)^2, never dropping below the
 Cauchy-Schwarz bound |Corr(A, B)|^2.  The finer S_{pq} table starts at
 S_{10} = I_1 and descends lexicographically in (p, q), with S_{p,p-1} = I_p.
 
-All chain values are computed by direct summation of the defining formulas;
-the consecutive-difference identities are exposed separately so tests can
-cross-check the two independent formulations.
+The product and sum bounds are pure functions of two arrays per point: the
+correlation matrix K of the observables (skewinfo.correlation_matrix) and
+their modulus vectors (loo.modulus_vector).  All chain values are computed
+by direct summation of the defining formulas.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ from .errors import (
     LengthMismatch,
     ValidationError,
 )
-from .linalg import DensityMatrix
-from .loo import GramFactor, expand, gram_matrix, loo_basis, modulus_vector
-from .metrics import MetricSpec
-from .skewinfo import correlation, skew_information
 
 # Hard cap on enumerated permutation candidates for exhaustive searches.
 EXHAUSTIVE_CAP = 10**6
@@ -60,13 +57,6 @@ def _as_modulus_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def cauchy_bound(
-    rho: DensityMatrix, A: np.ndarray, B: np.ndarray, m: MetricSpec
-) -> float:
-    """|Corr(A, B)|^2, the plain Cauchy-Schwarz lower bound on I(A) I(B)."""
-    return abs(correlation(rho, A, B, m)) ** 2
-
-
 def chain_Ik(x, y) -> np.ndarray:
     """The refinement chain I_1 ... I_n, n = len(x), by direct summation.
 
@@ -91,12 +81,6 @@ def chain_Ik(x, y) -> np.ndarray:
     for k in range(1, n + 1):
         out[k - 1] = diag + (total_cross - cross_prefix[k]) + geo_prefix[k]
     return out
-
-
-def chain_Ik_step(x, y, k: int) -> float:
-    """Consecutive difference I_{k+1} - I_k = -sum_{i<=k} (x_i y_{k+1} - y_i x_{k+1})^2."""
-    x, y = _as_modulus_pair(x, y)
-    return -float(np.sum((x[:k] * y[k] - y[:k] * x[k]) ** 2))
 
 
 def spq_order(n: int) -> list[tuple[int, int]]:
@@ -128,39 +112,6 @@ def table_Spq(x, y) -> dict[tuple[int, int], float]:
         for q in range(1, p):
             table[(p, q)] = total - tri - float(col[q - 1])
     return table
-
-
-def spq_step_identities(x, y) -> list[tuple[str, float, float]]:
-    """The three difference identities of the S table, as (name, lhs, rhs).
-
-    Each rhs is minus a single cross-difference square; tests assert
-    lhs == rhs to pin the direct summation against the recursive form.
-    """
-    x, y = _as_modulus_pair(x, y)
-    n = len(x)
-    S = table_Spq(x, y)
-    out = []
-    out.append(
-        ("S21-S10", S[(2, 1)] - S[(1, 0)], -float((x[1] * y[0] - x[0] * y[1]) ** 2))
-    )
-    for p in range(2, n + 1):
-        for q in range(2, p):
-            out.append(
-                (
-                    f"S{p}{q}-S{p}{q-1}",
-                    S[(p, q)] - S[(p, q - 1)],
-                    -float((x[p - 1] * y[q - 1] - x[q - 1] * y[p - 1]) ** 2),
-                )
-            )
-    for p in range(3, n + 1):
-        out.append(
-            (
-                f"S{p}1-S{p-1}{p-2}",
-                S[(p, 1)] - S[(p - 1, p - 2)],
-                -float((x[p - 1] * y[0] - x[0] * y[p - 1]) ** 2),
-            )
-        )
-    return out
 
 
 def best_permuted_product_bound(
@@ -306,33 +257,29 @@ def sum_bound_parallelogram(
     return best, [tuple(int(i) for i in p) for p in witness]
 
 
-def sum_bound_norm(
-    rho: DensityMatrix, observables: list[np.ndarray], m: MetricSpec
-) -> float:
-    """The matrix-norm baseline bound from skew information of combinations.
+def sum_bound_norm(K) -> float:
+    """The matrix-norm baseline bound from the correlation matrix K of the family.
 
     max over x in {0,1} of (1/(2N-2)) [ (2/(N(N-1)))
-    (sum_{i<j} sqrt(I(A_i + (-1)^x A_j)))^2 + sum_{i<j} I(A_i + (-1)^(x+1) A_j) ].
+    (sum_{i<j} sqrt(I(A_i + (-1)^x A_j)))^2 + sum_{i<j} I(A_i + (-1)^(x+1) A_j) ],
+    with I(A_i + s A_j) = K_ii + K_jj + 2 s Re K_ij, clamped at 0 against
+    rounding.  For N = 2 both signs give K_00 + K_11.
     """
-    N = len(observables)
+    K = np.asarray(K)
+    N = len(K)
     if N < 2:
         raise DimensionMismatch("sum bound needs at least 2 observables")
-    best = -np.inf
-    for xbit in (0, 1):
-        sgn = (-1.0) ** xbit
-        root_sum = 0.0
-        lin_sum = 0.0
-        for i in range(N):
-            for j in range(i + 1, N):
-                root_sum += np.sqrt(
-                    skew_information(rho, observables[i] + sgn * observables[j], m)
-                )
-                lin_sum += skew_information(
-                    rho, observables[i] - sgn * observables[j], m
-                )
-        val = ((2.0 / (N * (N - 1))) * root_sum**2 + lin_sum) / (2.0 * N - 2.0)
-        best = max(best, val)
-    return float(best)
+    i, j = np.triu_indices(N, 1)
+    diag = K.real.diagonal()
+    cross = 2.0 * K.real[i, j]
+    plus = np.maximum(diag[i] + diag[j] + cross, 0.0)
+    minus = np.maximum(diag[i] + diag[j] - cross, 0.0)
+    pair_weight = 2.0 / (N * (N - 1))
+    values = [
+        (pair_weight * np.sum(np.sqrt(root)) ** 2 + np.sum(lin)) / (2.0 * N - 2.0)
+        for root, lin in ((plus, minus), (minus, plus))
+    ]
+    return float(max(values))
 
 
 @dataclass(frozen=True)
@@ -345,27 +292,33 @@ class ProductChain:
     S_table: dict[tuple[int, int], float] = field(repr=False)
 
 
-def product_chain(
-    rho: DensityMatrix,
-    A: np.ndarray,
-    B: np.ndarray,
-    m: MetricSpec,
-    basis: list[np.ndarray] | None = None,
-    factor: GramFactor | None = None,
-) -> ProductChain:
-    """Evaluate product, Cauchy-Schwarz bound, and both refinement chains."""
-    if basis is None:
-        basis = loo_basis(rho.dim)
-    if factor is None:
-        factor = gram_matrix(rho, basis, m)
-    x = modulus_vector(factor, expand(A, basis))
-    y = modulus_vector(factor, expand(B, basis))
+def product_and_cauchy(K) -> tuple[float, float]:
+    """I(A) I(B) = K_00 K_11 and the Cauchy-Schwarz bound |K_01|^2 of (A, B)."""
+    return float(K[0, 0].real * K[1, 1].real), float(abs(K[0, 1]) ** 2)
+
+
+def product_chain(K, x, y) -> ProductChain:
+    """Product, Cauchy-Schwarz bound, and both refinement chains of (A, B).
+
+    K is the 2 x 2 correlation matrix of (A, B); x and y are their modulus
+    vectors.
+    """
+    product, cauchy = product_and_cauchy(K)
     return ProductChain(
-        product=skew_information(rho, A, m) * skew_information(rho, B, m),
-        cauchy=cauchy_bound(rho, A, B, m),
+        product=product,
+        cauchy=cauchy,
         I_seq=chain_Ik(x, y),
         S_table=table_Spq(x, y),
     )
+
+
+def check_cauchy(product: float, cauchy: float, tol: float = 1e-9) -> None:
+    """Assert the Cauchy-Schwarz bound does not exceed the product.
+
+    The tolerance scales with max(1, |product|).
+    """
+    if cauchy > product + tol * max(1.0, abs(product)):
+        raise InvariantViolation(f"cauchy {cauchy!r} exceeds product {product!r}")
 
 
 def check_product_chain(pc: ProductChain, tol: float = 1e-9) -> None:
@@ -415,25 +368,15 @@ class SumBoundReport:
 
 
 def sum_bound_report(
-    rho: DensityMatrix,
-    observables: list[np.ndarray],
-    m: MetricSpec,
-    strategy: SearchStrategy = SearchStrategy(),
-    basis: list[np.ndarray] | None = None,
-    factor: GramFactor | None = None,
+    K, moduli, strategy: SearchStrategy = SearchStrategy()
 ) -> SumBoundReport:
-    """Evaluate the sum-form bounds for a family of observables."""
-    if basis is None:
-        basis = loo_basis(rho.dim)
-    if factor is None:
-        factor = gram_matrix(rho, basis, m)
-    moduli = [modulus_vector(factor, expand(A, basis)) for A in observables]
+    """The sum-form bounds of a family from its correlation matrix and moduli."""
     para, witness = sum_bound_parallelogram(moduli, strategy)
     return SumBoundReport(
-        sum_value=float(sum(skew_information(rho, A, m) for A in observables)),
+        sum_value=float(np.trace(K).real),
         parallelogram=para,
         witness_perms=witness,
-        norm_bound=sum_bound_norm(rho, observables, m),
+        norm_bound=sum_bound_norm(K),
     )
 
 

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 parse/validation error, 2 invariant violation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.resources
 import math
 import sys
@@ -16,8 +17,10 @@ import numpy as np
 
 from .bounds import (
     SearchStrategy,
+    check_cauchy,
     check_product_chain,
     check_sum_report,
+    product_and_cauchy,
     product_chain,
     spq_order,
     sum_bound_report,
@@ -29,16 +32,16 @@ from .errors import (
     SkewboundsError,
     ValidationError,
 )
-from .loo import gram_matrix, loo_basis
+from .loo import expand, gram_matrix, loo_basis, modulus_vector
 from .metrics import parse_metric
 from .scenario import (
-    PairTask,
     Scenario,
     SumTask,
     SweepTask,
     parse_scenario,
     parse_scenario_text,
 )
+from .skewinfo import correlation_matrix
 
 # Values printed in the qutrit worked example, keyed by chain label.  The
 # endpoints are gauge-free; the intermediates depend on the factorization
@@ -58,43 +61,50 @@ def _fmt(v: float) -> str:
 
 
 def _point_row(scenario: Scenario, theta: float, strategy: SearchStrategy) -> dict:
-    """Evaluate all non-sweep tasks at one placeholder value."""
+    """Evaluate all non-sweep tasks at one placeholder value.
+
+    One correlation matrix K covers every observable the tasks name; the
+    Gram factor and the modulus vectors are built only for chain and sum
+    tasks, which are the ones that need them.
+    """
     rho = scenario.build_state(theta)
     m = scenario.metric
-    basis = loo_basis(rho.dim)
-    factor = gram_matrix(rho, basis, m)
+    tasks = [t for t in scenario.tasks if not isinstance(t, SweepTask)]
+    names = list(dict.fromkeys(name for t in tasks for name in t.names))
+    index = {name: i for i, name in enumerate(names)}
     row: dict[str, float] = {"theta": theta}
-    for task in scenario.tasks:
-        if isinstance(task, PairTask):
-            pc = product_chain(
-                rho,
-                scenario.observables[task.a],
-                scenario.observables[task.b],
-                m,
-                basis=basis,
-                factor=factor,
-            )
-            check_product_chain(pc)
-            row["product"] = pc.product
-            row["cauchy"] = pc.cauchy
-            if task.kind == "chain":
-                for k, val in enumerate(pc.I_seq, start=1):
-                    row[f"I_{k}"] = val
-                for p, q in spq_order(len(pc.I_seq))[1:]:
-                    row[f"S_{p}_{q}"] = pc.S_table[(p, q)]
-        elif isinstance(task, SumTask):
-            report = sum_bound_report(
-                rho,
-                [scenario.observables[n] for n in task.names],
-                m,
-                strategy=strategy,
-                basis=basis,
-                factor=factor,
-            )
+    if not names:
+        return row
+    observables = [scenario.observables[name] for name in names]
+    K = correlation_matrix(rho, observables, m)
+    if any(isinstance(t, SumTask) or t.kind == "chain" for t in tasks):
+        basis = loo_basis(rho.dim)
+        moduli = modulus_vector(
+            gram_matrix(rho, basis, m), expand(observables, basis)
+        )
+    for task in tasks:
+        idx = [index[name] for name in task.names]
+        K_task = K[np.ix_(idx, idx)]
+        if isinstance(task, SumTask):
+            report = sum_bound_report(K_task, moduli[idx], strategy=strategy)
             check_sum_report(report)
             row["sum"] = report.sum_value
             row["LB_thm3"] = report.parallelogram
             row["LB_norm"] = report.norm_bound
+        elif task.kind == "product":
+            product, cauchy = product_and_cauchy(K_task)
+            check_cauchy(product, cauchy)
+            row["product"] = product
+            row["cauchy"] = cauchy
+        else:
+            pc = product_chain(K_task, moduli[idx[0]], moduli[idx[1]])
+            check_product_chain(pc)
+            row["product"] = pc.product
+            row["cauchy"] = pc.cauchy
+            for k, val in enumerate(pc.I_seq, start=1):
+                row[f"I_{k}"] = val
+            for p, q in spq_order(len(pc.I_seq))[1:]:
+                row[f"S_{p}_{q}"] = pc.S_table[(p, q)]
     for key, val in row.items():
         if not math.isfinite(val):
             raise InvariantViolation(f"non-finite value in column {key}")
@@ -204,15 +214,10 @@ def main(argv=None) -> int:
             else:
                 scenario = parse_scenario(args.scenario)
                 if args.metric is not None:
-                    metric = parse_metric(args.metric)
-                    scenario = Scenario(
-                        state_kind=scenario.state_kind,
-                        state_spec=scenario.state_spec,
-                        observables=scenario.observables,
+                    scenario = dataclasses.replace(
+                        scenario,
                         metric_label=args.metric,
-                        metric=metric,
-                        theta=scenario.theta,
-                        tasks=scenario.tasks,
+                        metric=parse_metric(args.metric),
                     )
                 if args.command == "compute":
                     run_compute(scenario, strategy, out)

@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailure,
-    DimensionMismatch,
-    DomainError,
     NotHermitian,
     ValidationError,
 )
@@ -51,15 +49,6 @@ def as_observable(M) -> np.ndarray:
         dev = float(np.max(np.abs(A - A.conj().T)))
         raise NotHermitian(f"observable deviates from Hermitian by {dev:.3e}")
     return A
-
-
-def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """AB - BA.  Anti-Hermitian when both inputs are Hermitian."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"commutator of shapes {A.shape} and {B.shape}")
-    return A @ B - B @ A
 
 
 def _canonicalize_eig(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,12 +166,3 @@ class DensityMatrix:
         v = v / norm
         return cls.from_matrix(np.outer(v, v.conj()))
 
-
-def matrix_power(P: DensityMatrix, s: float) -> np.ndarray:
-    """rho**s for a density matrix, s in (0, 1], with 0**s := 0."""
-    if not (0.0 < s <= 1.0):
-        raise DomainError(f"exponent {s} outside (0, 1]")
-    w = P.eigenvalues
-    V = P.eigenvectors
-    ws = np.where(w > 0, w, 0.0) ** s
-    return (V * ws) @ V.conj().T

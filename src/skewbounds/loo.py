@@ -16,60 +16,47 @@ Bound validity is gauge-free; only the intermediate refinement values move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .linalg import DensityMatrix, eig_hermitian
-from .metrics import MetricSpec, weight_matrix
-from .skewinfo import correlation
+from .linalg import DensityMatrix
+from .metrics import MetricSpec
+from .skewinfo import correlation_matrix
 
-# Gamma eigenvalues below this are treated as exact kernel directions.
+# Cholesky pivots at or below this, relative to the largest diagonal entry of
+# Gamma, are treated as exact kernel directions.
 _SQRT_CLAMP = 1e-12
 
 
-def loo_basis(d: int) -> list[np.ndarray]:
-    """The d^2 trace-orthonormal Hermitian basis matrices, fixed order."""
+def loo_basis(d: int) -> np.ndarray:
+    """The d^2 trace-orthonormal Hermitian basis matrices, fixed order, as (d^2, d, d)."""
     if d < 2:
         raise DomainError(f"LOO basis needs d >= 2, got {d}")
-    elems: list[np.ndarray] = []
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    mu = 0
     for k in range(1, d):
         for j in range(k):
-            M = np.zeros((d, d), dtype=complex)
-            M[j, k] = -1j / np.sqrt(2.0)
-            M[k, j] = 1j / np.sqrt(2.0)
-            elems.append(M)
-            M = np.zeros((d, d), dtype=complex)
-            M[j, k] = M[k, j] = 1.0 / np.sqrt(2.0)
-            elems.append(M)
-        diag = np.zeros(d)
-        diag[:k] = 1.0
+            basis[mu, j, k] = -1j / np.sqrt(2.0)
+            basis[mu, k, j] = 1j / np.sqrt(2.0)
+            basis[mu + 1, j, k] = basis[mu + 1, k, j] = 1.0 / np.sqrt(2.0)
+            mu += 2
+        diag = np.ones(k + 1)
         diag[k] = -k
-        elems.append(np.diag(diag).astype(complex) / np.sqrt(k * (k + 1)))
-    elems.append(np.eye(d, dtype=complex) / np.sqrt(d))
-    return elems
+        basis[mu, range(k + 1), range(k + 1)] = diag / np.sqrt(k * (k + 1))
+        mu += 1
+    basis[mu] = np.eye(d) / np.sqrt(d)
+    return basis
 
 
-def expand(A: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    """Real coefficient vector a_mu = Tr(Omega_mu A)."""
-    d = basis[0].shape[0]
-    if A.shape != (d, d):
+def expand(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Real coefficients a_mu = Tr(Omega_mu A) of one observable or a stack of them."""
+    n, d, _ = basis.shape
+    A = np.asarray(A)
+    if A.shape[-2:] != (d, d):
         raise DimensionMismatch(f"observable shape {A.shape} vs basis dim {d}")
-    coeffs = np.array([np.trace(om @ A) for om in basis])
-    return coeffs.real.copy()
-
-
-def reconstruct(coeffs: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    """Sum a_mu Omega_mu."""
-    return sum(c * om for c, om in zip(coeffs, basis))
-
-
-def psd_sqrt(gamma: np.ndarray, clamp: float = _SQRT_CLAMP) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition, small eigenvalues -> 0."""
-    w, V = eig_hermitian(gamma)
-    w = np.where(w > clamp, w, 0.0)
-    return (V * np.sqrt(w)) @ V.conj().T
+    # Tr(Omega A) = sum_ij Omega_ij A_ji: one product of flattened A^T with the basis
+    flat = np.swapaxes(A, -1, -2).reshape(*A.shape[:-2], d * d)
+    return (flat @ basis.reshape(n, d * d).T).real
 
 
 def cholesky_psd(gamma: np.ndarray, clamp: float = _SQRT_CLAMP) -> np.ndarray:
@@ -95,53 +82,29 @@ def cholesky_psd(gamma: np.ndarray, clamp: float = _SQRT_CLAMP) -> np.ndarray:
     return R
 
 
-@dataclass(frozen=True)
-class GramFactor:
-    """Gram matrix of LOO correlations and its canonical triangular factor."""
+def gram_matrix(rho: DensityMatrix, basis: np.ndarray, m: MetricSpec) -> np.ndarray:
+    """Canonical factor C of the Gram matrix Gamma = C^dag C.
 
-    gamma: np.ndarray
-    factor: np.ndarray
+    Gamma_{mu,nu} = Corr(Omega_mu, Omega_nu) is the correlation matrix of the
+    basis elements.
+    """
+    return cholesky_psd(correlation_matrix(rho, basis, m))
 
 
-def gram_matrix(
-    rho: DensityMatrix, basis: list[np.ndarray], m: MetricSpec
-) -> GramFactor:
-    """Gamma_{mu,nu} = Corr(Omega_mu, Omega_nu) with canonical factor C."""
-    d = rho.dim
-    if basis[0].shape != (d, d):
+def modulus_vector(C: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Entrywise moduli |C a|, one row per coefficient vector a; sum(x**2) = I(A)."""
+    E = np.asarray(coeffs)
+    if C.shape[1] != E.shape[-1]:
         raise DimensionMismatch(
-            f"basis dim {basis[0].shape[0]} vs state dim {d}"
+            f"factor dim {C.shape[1]} vs coefficient length {E.shape[-1]}"
         )
-    V = rho.eigenvectors
-    W = weight_matrix(m, rho.eigenvalues)
-    # rows: each basis element rotated to the eigenbasis, flattened
-    M = np.array([(V.conj().T @ om @ V).ravel() for om in basis])
-    gamma = (M.conj() * W.ravel()) @ M.T
-    gamma = 0.5 * (gamma + gamma.conj().T)
-    C = cholesky_psd(gamma)
-    gamma.setflags(write=False)
-    C.setflags(write=False)
-    return GramFactor(gamma=gamma, factor=C)
-
-
-def modulus_vector(factor: GramFactor, coeffs: np.ndarray) -> np.ndarray:
-    """Entrywise moduli of C a; its squared norm is the skew information."""
-    C = factor.factor
-    if C.shape[1] != len(coeffs):
-        raise DimensionMismatch(
-            f"factor dim {C.shape[1]} vs coefficient length {len(coeffs)}"
-        )
-    return np.abs(C @ np.asarray(coeffs))
+    return np.abs(C @ E.T).T
 
 
 __all__ = [
-    "GramFactor",
     "cholesky_psd",
-    "correlation",
     "expand",
     "gram_matrix",
     "loo_basis",
     "modulus_vector",
-    "psd_sqrt",
-    "reconstruct",
 ]

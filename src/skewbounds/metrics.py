@@ -70,46 +70,12 @@ def parse_metric(text: str) -> MetricSpec:
     raise ValidationError(f"unknown metric string {text!r}")
 
 
-def metric_label(m: MetricSpec) -> str:
-    """Inverse of parse_metric."""
-    if m.kind == KIND_WYD:
-        return f"wyd:{m.alpha:g}"
-    return m.kind
-
-
 def _wyd_alpha(m: MetricSpec) -> float:
     return 0.5 if m.kind == KIND_WY else float(m.alpha)
 
 
-def mc_function(m: MetricSpec, x: float, y: float) -> float:
-    """Morozova-Chentsov function c(x, y), with the analytic limit at x = y."""
-    if x < 0 or y < 0:
-        raise DomainError("c(x, y) requires x, y >= 0")
-    if x == 0 and y == 0:
-        raise DomainError("c(0, 0) is undefined")
-    if m.kind == KIND_SLD:
-        return 2.0 / (x + y)
-    a = _wyd_alpha(m)
-    if x == y:
-        return 1.0 / x
-    return ((x**a - y**a) * (x ** (1 - a) - y ** (1 - a))) / (
-        a * (1 - a) * (x - y) ** 2
-    )
-
-
-def weight(m: MetricSpec, x: float, y: float) -> float:
-    """Pairwise weight (m(c)/2) c(x, y) (x - y)^2, finite for all x, y >= 0."""
-    if x < 0 or y < 0:
-        raise DomainError("weight requires x, y >= 0")
-    if m.kind == KIND_SLD:
-        s = x + y
-        return 0.0 if s == 0.0 else (x - y) ** 2 / (2.0 * s)
-    a = _wyd_alpha(m)
-    return 0.5 * (x**a - y**a) * (x ** (1 - a) - y ** (1 - a))
-
-
 def weight_matrix(m: MetricSpec, eigenvalues: np.ndarray) -> np.ndarray:
-    """Matrix W[i, j] = weight(m, lam_i, lam_j) for a vector of eigenvalues."""
+    """Matrix W[i, j] = w(lam_i, lam_j) of pairwise weights for a vector of eigenvalues."""
     lam = np.asarray(eigenvalues, dtype=float)
     if m.kind == KIND_SLD:
         s = lam[:, None] + lam[None, :]

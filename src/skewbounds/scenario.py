@@ -144,6 +144,10 @@ class PairTask:
     a: str
     b: str
 
+    @property
+    def names(self) -> tuple[str, str]:
+        return (self.a, self.b)
+
 
 @dataclass(frozen=True)
 class SumTask:
@@ -244,14 +248,15 @@ def _parse_task(entry) -> Task:
     if kind == "sweep":
         try:
             lo, hi = body["range"]
-            task = SweepTask(
-                param=body.get("param", "theta"),
-                lo=float(lo),
-                hi=float(hi),
-                steps=int(body["steps"]),
-            )
+            lo, hi, steps = float(lo), float(hi), body["steps"]
         except (TypeError, KeyError, ValueError) as exc:
             raise ParseError(f"sweep task needs param/range/steps: {entry!r}") from exc
+        # bool is an int subclass; a float counts only when it is integral
+        if isinstance(steps, bool) or not (
+            isinstance(steps, int) or (isinstance(steps, float) and steps.is_integer())
+        ):
+            raise ValidationError(f"sweep steps must be an integer, got {steps!r}")
+        task = SweepTask(param=body.get("param", "theta"), lo=lo, hi=hi, steps=int(steps))
         if task.param != "theta":
             raise ValidationError(
                 f"sweep parameter {task.param!r} is not supported; only theta can be swept"
@@ -311,10 +316,7 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     }
     tasks = tuple(_parse_task(t) for t in tasks_raw)
     for t in tasks:
-        wanted = (t.a, t.b) if isinstance(t, PairTask) else (
-            t.names if isinstance(t, SumTask) else ()
-        )
-        for name in wanted:
+        for name in getattr(t, "names", ()):
             if name not in observables:
                 raise ParseError(f"{source}: task references unknown observable {name!r}")
 

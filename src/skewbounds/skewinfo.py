@@ -7,66 +7,62 @@ correlation measure is
 
 where the weight w absorbs both the metric kernel and the (lam_i - lam_j)^2
 factor coming from the commutators.  This is exact at degenerate and zero
-eigenvalues and costs O(d^2) after diagonalization.
+eigenvalues and costs O(d^2) after diagonalization.  Every quantity the
+bounds need is an entry of one correlation matrix K_ij = Corr(A_i, A_j):
+I(A_i) = K_ii and I(A_i + s A_j) = K_ii + K_jj + 2 s Re K_ij.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, InternalConsistencyError
-from .linalg import DensityMatrix, commutator, matrix_power
+from .errors import DimensionMismatch, InternalConsistencyError
+from .linalg import DensityMatrix
 from .metrics import MetricSpec, weight_matrix
 
-# Imaginary residue allowed on quantities that must be real.
-_IMAG_TOL = 1e-12
+# Rounding allowed on the diagonal of K, relative to max(1, |K_ii|).
+_DIAG_TOL = 1e-12
 
 
-def _check_dim(rho: DensityMatrix, *matrices: np.ndarray) -> None:
-    for M in matrices:
-        if M.shape != rho.matrix.shape:
+def correlation_matrix(
+    rho: DensityMatrix, observables, m: MetricSpec
+) -> np.ndarray:
+    """K[i, j] = Corr(A_i, A_j) for a sequence of observables.
+
+    K is Hermitian with a real nonnegative diagonal.  Each term of K_ii is
+    w |A~_ij|^2 >= 0, so its imaginary part and any negative real part are
+    rounding; both are checked against 1e-12 max(1, |K_ii|) and removed.
+    """
+    for A in observables:
+        if np.shape(A) != rho.matrix.shape:
             raise DimensionMismatch(
-                f"observable shape {M.shape} does not match state dim {rho.dim}"
+                f"observable shape {np.shape(A)} does not match state dim {rho.dim}"
             )
+    V = rho.eigenvectors
+    rotated = (V.conj().T @ np.asarray(observables) @ V).reshape(len(observables), -1)
+    W = weight_matrix(m, rho.eigenvalues)
+    K = (rotated.conj() * W.ravel()) @ rotated.T
+    diag = K.diagonal()
+    tol = _DIAG_TOL * np.maximum(1.0, np.abs(diag))
+    bad = np.flatnonzero((np.abs(diag.imag) > tol) | (diag.real < -tol))
+    if bad.size:
+        i = bad[0]
+        raise InternalConsistencyError(
+            f"K[{i}, {i}] = {diag[i]:.6e} is not a nonnegative real beyond "
+            f"rounding (tolerance {tol[i]:.3e})"
+        )
+    K = 0.5 * (K + K.conj().T)
+    np.fill_diagonal(K, np.maximum(K.real.diagonal(), 0.0))
+    return K
 
 
 def correlation(
     rho: DensityMatrix, A: np.ndarray, B: np.ndarray, m: MetricSpec
 ) -> complex:
     """Correlation measure Corr(A, B); sesquilinear, conjugate-linear in A."""
-    _check_dim(rho, A, B)
-    V = rho.eigenvectors
-    At = V.conj().T @ A @ V
-    Bt = V.conj().T @ B @ V
-    W = weight_matrix(m, rho.eigenvalues)
-    return complex(np.sum(W * At.conj() * Bt))
+    return complex(correlation_matrix(rho, [A, B], m)[0, 1])
 
 
 def skew_information(rho: DensityMatrix, A: np.ndarray, m: MetricSpec) -> float:
     """Metric-adjusted skew information I(A) = Corr(A, A) >= 0."""
-    c = correlation(rho, A, A, m)
-    if abs(c.imag) > _IMAG_TOL:
-        raise InternalConsistencyError(
-            f"Corr(A, A) has imaginary residue {c.imag:.3e}; non-Hermitian input?"
-        )
-    val = c.real
-    if val < 0:
-        if val < -_IMAG_TOL:
-            raise InternalConsistencyError(f"negative skew information {val:.3e}")
-        val = 0.0
-    return val
-
-
-def wyd_direct(rho: DensityMatrix, A: np.ndarray, alpha: float) -> float:
-    """Wigner-Yanase-Dyson information -(1/2) Tr [rho^a, A][rho^(1-a), A].
-
-    Computed by explicit matrix products; serves as an independent oracle for
-    skew_information with the WYD metric.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha {alpha} outside (0, 1)")
-    _check_dim(rho, A)
-    ra = matrix_power(rho, alpha)
-    rb = matrix_power(rho, 1.0 - alpha)
-    val = -0.5 * np.trace(commutator(ra, A) @ commutator(rb, A))
-    return float(val.real)
+    return float(correlation_matrix(rho, [A], m)[0, 0].real)

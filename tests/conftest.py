@@ -1,8 +1,11 @@
-"""Shared helpers: seeded random states, observables, and unitaries."""
+"""Shared helpers: seeded random states, observables, unitaries, and the
+per-point arrays the bounds are computed from."""
 
 import numpy as np
 
 from skewbounds.linalg import DensityMatrix
+from skewbounds.loo import expand, gram_matrix, loo_basis, modulus_vector
+from skewbounds.skewinfo import correlation_matrix
 
 
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -26,3 +29,11 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Q, R = np.linalg.qr(G)
     return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def point_arrays(rho, observables, m):
+    """The correlation matrix K and the modulus vectors of a family of observables."""
+    obs = np.array(observables)
+    basis = loo_basis(rho.dim)
+    moduli = modulus_vector(gram_matrix(rho, basis, m), expand(obs, basis))
+    return correlation_matrix(rho, obs, m), moduli

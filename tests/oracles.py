@@ -1,9 +1,14 @@
-"""Tuple-at-a-time reference searches for the permutation bounds.
+"""Reference forms that the package is tested against.
 
-These are the direct loop forms of the searches in ``skewbounds.bounds``:
-every candidate is built as Python tuples and scored one at a time, so the
-array kernels can be required to reproduce them value for value and
-witness for witness.
+- Tuple-at-a-time searches for the permutation bounds: every candidate is
+  built as Python tuples and scored one at a time, so the array kernels can
+  be required to reproduce them value for value and witness for witness.
+- Per-pair forms of the correlation measure and the norm baseline, one
+  eigenbasis rotation per call, against which the correlation-matrix core
+  is checked.
+- The Wigner-Yanase-Dyson trace formula with its matrix powers and
+  commutators, the scalar Morozova-Chentsov function and pairwise weight,
+  and the consecutive-difference identities of the chains.
 """
 
 import itertools
@@ -11,8 +16,10 @@ import math
 
 import numpy as np
 
-from skewbounds.bounds import EXHAUSTIVE_CAP, SearchStrategy
-from skewbounds.errors import ComplexityRefusal
+from skewbounds.bounds import EXHAUSTIVE_CAP, SearchStrategy, table_Spq
+from skewbounds.errors import ComplexityRefusal, DimensionMismatch, DomainError
+from skewbounds.linalg import DensityMatrix, eig_hermitian
+from skewbounds.metrics import KIND_SLD, KIND_WY, KIND_WYD, MetricSpec, weight_matrix
 
 
 def parallelogram_value(vectors, perms) -> float:
@@ -82,3 +89,185 @@ def enumerated_product_bound(x, y):
                 best = val
                 best_pair = (pa, pb)
     return float(best), best_pair
+
+
+# -- matrix functions and the trace-formula oracle ---------------------------
+
+
+def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """AB - BA.  Anti-Hermitian when both inputs are Hermitian."""
+    A = np.asarray(A, dtype=complex)
+    B = np.asarray(B, dtype=complex)
+    if A.shape != B.shape:
+        raise DimensionMismatch(f"commutator of shapes {A.shape} and {B.shape}")
+    return A @ B - B @ A
+
+
+def matrix_power(P: DensityMatrix, s: float) -> np.ndarray:
+    """rho**s for a density matrix, s in (0, 1], with 0**s := 0."""
+    if not (0.0 < s <= 1.0):
+        raise DomainError(f"exponent {s} outside (0, 1]")
+    w = P.eigenvalues
+    V = P.eigenvectors
+    ws = np.where(w > 0, w, 0.0) ** s
+    return (V * ws) @ V.conj().T
+
+
+def wyd_direct(rho: DensityMatrix, A: np.ndarray, alpha: float) -> float:
+    """Wigner-Yanase-Dyson information -(1/2) Tr [rho^a, A][rho^(1-a), A].
+
+    Computed by explicit matrix products; serves as an independent oracle for
+    skew_information with the WYD metric.
+    """
+    if not (0.0 < alpha < 1.0):
+        raise DomainError(f"alpha {alpha} outside (0, 1)")
+    if A.shape != rho.matrix.shape:
+        raise DimensionMismatch(
+            f"observable shape {A.shape} does not match state dim {rho.dim}"
+        )
+    ra = matrix_power(rho, alpha)
+    rb = matrix_power(rho, 1.0 - alpha)
+    val = -0.5 * np.trace(commutator(ra, A) @ commutator(rb, A))
+    return float(val.real)
+
+
+# -- scalar metric functions -------------------------------------------------
+
+
+def metric_label(m: MetricSpec) -> str:
+    """Inverse of parse_metric."""
+    if m.kind == KIND_WYD:
+        return f"wyd:{m.alpha:g}"
+    return m.kind
+
+
+def _wyd_alpha(m: MetricSpec) -> float:
+    return 0.5 if m.kind == KIND_WY else float(m.alpha)
+
+
+def mc_function(m: MetricSpec, x: float, y: float) -> float:
+    """Morozova-Chentsov function c(x, y), with the analytic limit at x = y."""
+    if x < 0 or y < 0:
+        raise DomainError("c(x, y) requires x, y >= 0")
+    if x == 0 and y == 0:
+        raise DomainError("c(0, 0) is undefined")
+    if m.kind == KIND_SLD:
+        return 2.0 / (x + y)
+    a = _wyd_alpha(m)
+    if x == y:
+        return 1.0 / x
+    return ((x**a - y**a) * (x ** (1 - a) - y ** (1 - a))) / (
+        a * (1 - a) * (x - y) ** 2
+    )
+
+
+def weight(m: MetricSpec, x: float, y: float) -> float:
+    """Pairwise weight (m(c)/2) c(x, y) (x - y)^2, finite for all x, y >= 0."""
+    if x < 0 or y < 0:
+        raise DomainError("weight requires x, y >= 0")
+    if m.kind == KIND_SLD:
+        s = x + y
+        return 0.0 if s == 0.0 else (x - y) ** 2 / (2.0 * s)
+    a = _wyd_alpha(m)
+    return 0.5 * (x**a - y**a) * (x ** (1 - a) - y ** (1 - a))
+
+
+# -- bases and factors -------------------------------------------------------
+
+
+def reconstruct(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Sum a_mu Omega_mu."""
+    return sum(c * om for c, om in zip(coeffs, basis))
+
+
+def psd_sqrt(gamma: np.ndarray, clamp: float = 1e-12) -> np.ndarray:
+    """Hermitian PSD square root via eigendecomposition, small eigenvalues -> 0."""
+    w, V = eig_hermitian(gamma)
+    w = np.where(w > clamp, w, 0.0)
+    return (V * np.sqrt(w)) @ V.conj().T
+
+
+# -- per-pair correlation and norm baseline ----------------------------------
+
+
+def pairwise_correlation(
+    rho: DensityMatrix, A: np.ndarray, B: np.ndarray, m: MetricSpec
+) -> complex:
+    """Corr(A, B) = sum_ij w(lam_i, lam_j) conj(A~_ij) B~_ij for one pair."""
+    V = rho.eigenvectors
+    At = V.conj().T @ A @ V
+    Bt = V.conj().T @ B @ V
+    W = weight_matrix(m, rho.eigenvalues)
+    return complex(np.sum(W * At.conj() * Bt))
+
+
+def pairwise_skew_information(rho: DensityMatrix, A: np.ndarray, m: MetricSpec) -> float:
+    """Re Corr(A, A), with a negative rounding residue clamped to 0."""
+    return max(pairwise_correlation(rho, A, A, m).real, 0.0)
+
+
+def pairwise_sum_bound_norm(rho: DensityMatrix, observables, m: MetricSpec) -> float:
+    """The norm baseline from the skew information of every pairwise sum and difference.
+
+    max over x in {0,1} of (1/(2N-2)) [ (2/(N(N-1)))
+    (sum_{i<j} sqrt(I(A_i + (-1)^x A_j)))^2 + sum_{i<j} I(A_i + (-1)^(x+1) A_j) ].
+    """
+    N = len(observables)
+    best = -np.inf
+    for xbit in (0, 1):
+        sgn = (-1.0) ** xbit
+        root_sum = 0.0
+        lin_sum = 0.0
+        for i in range(N):
+            for j in range(i + 1, N):
+                root_sum += np.sqrt(
+                    pairwise_skew_information(rho, observables[i] + sgn * observables[j], m)
+                )
+                lin_sum += pairwise_skew_information(
+                    rho, observables[i] - sgn * observables[j], m
+                )
+        val = ((2.0 / (N * (N - 1))) * root_sum**2 + lin_sum) / (2.0 * N - 2.0)
+        best = max(best, val)
+    return float(best)
+
+
+# -- chain difference identities ---------------------------------------------
+
+
+def chain_Ik_step(x, y, k: int) -> float:
+    """Consecutive difference I_{k+1} - I_k = -sum_{i<=k} (x_i y_{k+1} - y_i x_{k+1})^2."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return -float(np.sum((x[:k] * y[k] - y[:k] * x[k]) ** 2))
+
+
+def spq_step_identities(x, y) -> list[tuple[str, float, float]]:
+    """The three difference identities of the S table, as (name, lhs, rhs).
+
+    Each rhs is minus a single cross-difference square; tests assert
+    lhs == rhs to pin the direct summation against the recursive form.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    n = len(x)
+    S = table_Spq(x, y)
+    out = []
+    out.append(
+        ("S21-S10", S[(2, 1)] - S[(1, 0)], -float((x[1] * y[0] - x[0] * y[1]) ** 2))
+    )
+    for p in range(2, n + 1):
+        for q in range(2, p):
+            out.append(
+                (
+                    f"S{p}{q}-S{p}{q-1}",
+                    S[(p, q)] - S[(p, q - 1)],
+                    -float((x[p - 1] * y[q - 1] - x[q - 1] * y[p - 1]) ** 2),
+                )
+            )
+    for p in range(3, n + 1):
+        out.append(
+            (
+                f"S{p}1-S{p-1}{p-2}",
+                S[(p, 1)] - S[(p - 1, p - 2)],
+                -float((x[p - 1] * y[0] - x[0] * y[p - 1]) ** 2),
+            )
+        )
+    return out

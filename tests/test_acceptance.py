@@ -8,14 +8,13 @@ import importlib.resources
 
 import numpy as np
 
-from conftest import random_density, random_hermitian, random_unitary
+from conftest import point_arrays, random_density, random_hermitian, random_unitary
+from oracles import chain_Ik_step, spq_step_identities, wyd_direct
 from skewbounds.bounds import (
     SearchStrategy,
     chain_Ik,
-    chain_Ik_step,
     product_chain,
     spq_order,
-    spq_step_identities,
     sum_bound_norm,
     sum_bound_report,
     sum_bound_parallelogram,
@@ -25,7 +24,7 @@ from skewbounds.cli import main
 from skewbounds.linalg import PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, as_observable
 from skewbounds.loo import expand, gram_matrix, loo_basis
 from skewbounds.metrics import make_metric
-from skewbounds.skewinfo import skew_information, wyd_direct
+from skewbounds.skewinfo import correlation_matrix, skew_information
 
 WYD14 = make_metric("wyd", 0.25)
 WY = make_metric("wy")
@@ -50,14 +49,16 @@ def test_criterion_1_qutrit_gauge_invariant_endpoints():
     product = skew_information(QUTRIT_STATE, QUTRIT_A, WYD14) * skew_information(
         QUTRIT_STATE, QUTRIT_B, WYD14
     )
-    pc = product_chain(QUTRIT_STATE, QUTRIT_A, QUTRIT_B, WYD14)
+    K, (x, y) = point_arrays(QUTRIT_STATE, [QUTRIT_A, QUTRIT_B], WYD14)
+    pc = product_chain(K, x, y)
     assert abs(product - 1.875) <= 1e-3
     assert abs(pc.cauchy - 0.250) <= 1e-3
     _report(1, "qutrit endpoints product=1.875, cauchy=0.250")
 
 
 def test_criterion_2_qutrit_chain_structure():
-    pc = product_chain(QUTRIT_STATE, QUTRIT_A, QUTRIT_B, WYD14)
+    K, (x, y) = point_arrays(QUTRIT_STATE, [QUTRIT_A, QUTRIT_B], WYD14)
+    pc = product_chain(K, x, y)
     I = pc.I_seq
     S = pc.S_table
     assert np.all(np.diff(I) <= 1e-10)
@@ -91,7 +92,8 @@ def test_criterion_3_qubit_structural_equalities():
     for theta in THETA_GRID:
         r = [np.sqrt(3) / 2 * np.cos(theta), np.sqrt(3) / 2 * np.sin(theta), 0.0]
         rho = DensityMatrix.from_bloch(r)
-        pc = product_chain(rho, QUBIT_A, QUBIT_B, WYD14)
+        K, (x, y) = point_arrays(rho, [QUBIT_A, QUBIT_B], WYD14)
+        pc = product_chain(K, x, y)
         I = pc.I_seq
         S = pc.S_table
         devs = [
@@ -120,7 +122,7 @@ def test_criterion_4_sum_bound_dominance():
     for theta in THETA_GRID:
         r = [np.sqrt(3) / 3 * np.cos(theta), 0.0, np.sqrt(3) / 3]
         rho = DensityMatrix.from_bloch(r)
-        report = sum_bound_report(rho, [A, B, C], WY)
+        report = sum_bound_report(*point_arrays(rho, [A, B, C], WY))
         assert report.parallelogram >= report.norm_bound - 1e-9
         assert report.sum_value >= report.parallelogram - 1e-9
         assert report.sum_value >= report.norm_bound - 1e-9
@@ -155,10 +157,10 @@ def test_criterion_6_gauge_robust_bound_validity():
         B = random_hermitian(rng, d)
         m = metrics[int(rng.integers(len(metrics)))]
         basis = loo_basis(d)
-        gf = gram_matrix(rho, basis, m)
-        f0 = gf.factor @ expand(A, basis)
-        g0 = gf.factor @ expand(B, basis)
-        pc = product_chain(rho, A, B, m, basis=basis, factor=gf)
+        C = gram_matrix(rho, basis, m)
+        f0 = C @ expand(A, basis)
+        g0 = C @ expand(B, basis)
+        pc = product_chain(correlation_matrix(rho, [A, B], m), np.abs(f0), np.abs(g0))
         lo, hi = pc.cauchy - 1e-9, pc.product + 1e-9
         gauges = [np.eye(d * d)] + [random_unitary(rng, d * d) for _ in range(5)]
         for U in gauges:
@@ -206,18 +208,17 @@ def test_criterion_8_saturation_cases():
         d = int(rng.integers(2, 4))
         rho = random_density(rng, d)
         A = random_hermitian(rng, d)
-        pc = product_chain(rho, A, A, WY)
+        K, (x, y) = point_arrays(rho, [A, A], WY)
+        pc = product_chain(K, x, y)
         assert abs(pc.cauchy - pc.product) <= 1e-10
-        basis = loo_basis(d)
-        gf = gram_matrix(rho, basis, WY)
-        x = np.abs(gf.factor @ expand(A, basis))
         for N in (2, 3):
             val, _ = sum_bound_parallelogram(
                 [x] * N, SearchStrategy(kind="sampled", n_samples=10, seed=0)
             )
             assert abs(val - N * skew_information(rho, A, WY)) <= 1e-10
             assert abs(
-                sum_bound_norm(rho, [A] * N, WY) - N * skew_information(rho, A, WY)
+                sum_bound_norm(correlation_matrix(rho, [A] * N, WY))
+                - N * skew_information(rho, A, WY)
             ) <= 1e-10
     _report(8, "self-pair and identical-family saturation cases")
 

@@ -6,19 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_density, random_hermitian, random_unitary
-from oracles import enumerated_product_bound, loop_sum_bound, parallelogram_value
+from conftest import point_arrays, random_density, random_hermitian, random_unitary
+from oracles import (
+    chain_Ik_step,
+    enumerated_product_bound,
+    loop_sum_bound,
+    pairwise_sum_bound_norm,
+    parallelogram_value,
+    spq_step_identities,
+)
 from skewbounds.bounds import (
     SearchStrategy,
     best_permuted_product_bound,
-    cauchy_bound,
     chain_Ik,
-    chain_Ik_step,
     check_product_chain,
     check_sum_report,
     product_chain,
     spq_order,
-    spq_step_identities,
     sum_bound_norm,
     sum_bound_report,
     sum_bound_parallelogram,
@@ -33,7 +37,7 @@ from skewbounds.errors import (
 from skewbounds.linalg import DensityMatrix
 from skewbounds.loo import expand, gram_matrix, loo_basis, modulus_vector
 from skewbounds.metrics import make_metric
-from skewbounds.skewinfo import skew_information
+from skewbounds.skewinfo import correlation_matrix, skew_information
 
 WY = make_metric("wy")
 
@@ -353,14 +357,14 @@ class TestSumBoundNorm:
         rho = random_density(rng, 2)
         A = random_hermitian(rng, 2)
         for N in (2, 3):
-            val = sum_bound_norm(rho, [A] * N, WY)
+            val = sum_bound_norm(correlation_matrix(rho, [A] * N, WY))
             assert val == pytest.approx(N * skew_information(rho, A, WY), abs=1e-10)
 
     def test_sign_flip_saturation(self):
         rng = np.random.default_rng(9)
         rho = random_density(rng, 2)
         A = random_hermitian(rng, 2)
-        val = sum_bound_norm(rho, [A, -A], WY)
+        val = sum_bound_norm(correlation_matrix(rho, [A, -A], WY))
         assert val == pytest.approx(2 * skew_information(rho, A, WY), abs=1e-10)
 
     def test_independent_reimplementation(self):
@@ -384,7 +388,32 @@ class TestSumBoundNorm:
             cands.append(
                 (2 / (N * (N - 1)) * root**2 + lin) / (2 * N - 2)
             )
-        assert sum_bound_norm(rho, obs, WY) == pytest.approx(max(cands), abs=1e-12)
+        assert sum_bound_norm(correlation_matrix(rho, obs, WY)) == pytest.approx(
+            max(cands), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("scale", [1.0, 1000.0])
+    def test_matches_pairwise_oracle(self, scale):
+        rng = np.random.default_rng(17)
+        metrics = [WY, make_metric("sld"), make_metric("wyd", 0.25)]
+        for N in (2, 3, 4):
+            for _ in range(15):
+                d = int(rng.integers(2, 5))
+                rho = random_density(rng, d, rank=int(rng.integers(1, d + 1)))
+                obs = [scale * random_hermitian(rng, d) for _ in range(N)]
+                m = metrics[int(rng.integers(len(metrics)))]
+                K = correlation_matrix(rho, obs, m)
+                want = pairwise_sum_bound_norm(rho, obs, m)
+                assert abs(sum_bound_norm(K) - want) <= 1e-12 * max(1.0, want)
+
+    def test_two_observables_give_the_sum(self):
+        # I(A + B) + I(A - B) = 2 I(A) + 2 I(B) under either sign choice
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            rho = random_density(rng, 3)
+            K = correlation_matrix(rho, [random_hermitian(rng, 3) for _ in range(2)], WY)
+            total = K[0, 0].real + K[1, 1].real
+            assert abs(sum_bound_norm(K) - total) <= 1e-12 * total
 
     def test_bounded_by_sum(self):
         rng = np.random.default_rng(11)
@@ -393,7 +422,7 @@ class TestSumBoundNorm:
             rho = random_density(rng, d, rank=int(rng.integers(1, d + 1)))
             obs = [random_hermitian(rng, d) for _ in range(3)]
             total = sum(skew_information(rho, A, WY) for A in obs)
-            assert sum_bound_norm(rho, obs, WY) <= total + 1e-9
+            assert sum_bound_norm(correlation_matrix(rho, obs, WY)) <= total + 1e-9
 
 
 class TestProductChain:
@@ -401,7 +430,8 @@ class TestProductChain:
         rng = np.random.default_rng(12)
         rho = random_density(rng, 2)
         A = random_hermitian(rng, 2)
-        pc = product_chain(rho, A, A, WY)
+        K, (x, y) = point_arrays(rho, [A, A], WY)
+        pc = product_chain(K, x, y)
         assert pc.cauchy == pytest.approx(pc.product, abs=1e-10)
         check_product_chain(pc)
 
@@ -414,8 +444,8 @@ class TestProductChain:
             A = random_hermitian(rng, d)
             B = random_hermitian(rng, d)
             m = metrics[int(rng.integers(len(metrics)))]
-            pc = product_chain(rho, A, B, m)
-            check_product_chain(pc)
+            K, (x, y) = point_arrays(rho, [A, B], m)
+            check_product_chain(product_chain(K, x, y))
 
     def test_endpoints_are_gauge_free(self):
         rng = np.random.default_rng(14)
@@ -423,10 +453,11 @@ class TestProductChain:
         A = random_hermitian(rng, 2)
         B = random_hermitian(rng, 2)
         basis = loo_basis(2)
-        gf = gram_matrix(rho, basis, WY)
+        C = gram_matrix(rho, basis, WY)
         a, b = expand(A, basis), expand(B, basis)
-        f0, g0 = gf.factor @ a, gf.factor @ b
-        pc = product_chain(rho, A, B, WY)
+        f0, g0 = C @ a, C @ b
+        K, (x, y) = point_arrays(rho, [A, B], WY)
+        pc = product_chain(K, x, y)
         for _ in range(5):
             U = random_unitary(rng, 4)
             x, y = np.abs(U @ f0), np.abs(U @ g0)
@@ -440,7 +471,7 @@ class TestSumBoundReport:
         rng = np.random.default_rng(15)
         rho = random_density(rng, 2)
         obs = [random_hermitian(rng, 2) for _ in range(3)]
-        report = sum_bound_report(rho, obs, WY)
+        report = sum_bound_report(*point_arrays(rho, obs, WY))
         check_sum_report(report)
         assert report.sum_value == pytest.approx(
             sum(skew_information(rho, A, WY) for A in obs), abs=1e-12

@@ -2,12 +2,17 @@
 
 import dataclasses
 import importlib.resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skewbounds.loo
+import skewbounds.skewinfo
 from skewbounds.cli import main
 from skewbounds.scenario import parse_scenario_text, write_scenario
+
+DATA = Path(__file__).parent / "data"
 
 QUBIT_CHAIN = """
 metric: "wyd:0.25"
@@ -133,6 +138,53 @@ class TestScale:
         header, rows = read_csv(capsys)
         assert len(rows) == 100
 
+    def test_qutrit_observables_times_1000(self, capsys):
+        # Corr(A, A) has an imaginary rounding residue above 1e-12 here
+        assert main(["compute", str(DATA / "qutrit_x1000.yaml")]) == 0
+        header, rows = read_csv(capsys)
+        vals = dict(zip(header, map(float, rows[0])))
+        assert vals["I_1"] == pytest.approx(vals["product"], rel=1e-9)
+        assert vals["sum"] >= vals["LB_thm3"] * (1 - 1e-9)
+
+
+class TestPointWork:
+    """What one evaluation point builds, counted by wrapping the builders."""
+
+    def counting(self, monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def run_sweep(self, tmp_path, capsys, text):
+        assert main(["sweep", write(tmp_path, text)]) == 0
+        return read_csv(capsys)[1]
+
+    def test_chain_and_sum_factor_once_per_point(self, tmp_path, capsys, monkeypatch):
+        cholesky = self.counting(monkeypatch, skewbounds.loo, "cholesky_psd")
+        weights = self.counting(monkeypatch, skewbounds.skewinfo, "weight_matrix")
+        text = QUBIT_CHAIN.replace(
+            "  - chain: {A: A, B: B}\n", "  - chain: {A: A, B: B}\n  - sum: {observables: [A, B]}\n"
+        )
+        rows = self.run_sweep(tmp_path, capsys, text)
+        assert len(rows) == 5
+        assert len(cholesky) == 5
+        assert len(weights) == 10  # K of the observables and Gamma of the basis
+
+    def test_product_task_builds_no_factor(self, tmp_path, capsys, monkeypatch):
+        cholesky = self.counting(monkeypatch, skewbounds.loo, "cholesky_psd")
+        weights = self.counting(monkeypatch, skewbounds.skewinfo, "weight_matrix")
+        text = QUBIT_CHAIN.replace("  - chain: {A: A, B: B}", "  - product: {A: A, B: B}")
+        rows = self.run_sweep(tmp_path, capsys, text)
+        assert len(rows) == 5
+        assert cholesky == []
+        assert len(weights) == 5
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):
@@ -142,6 +194,24 @@ class TestExitCodes:
         bad = QUBIT_CHAIN.replace('"0.8*cos(theta)"', "1.8")
         path = write(tmp_path, bad)
         assert main(["compute", path]) == 1
+
+    def test_observable_dimension_mismatch(self, tmp_path, capsys):
+        qutrit_b = """  B:
+    - [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    - [[0.0, 0.0], [-1.0, 0.0], [0.0, 0.0]]
+    - [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+tasks:"""
+        text = QUBIT_CHAIN.replace(
+            """  B:
+    - [[1.0, 0.0], [0.0, -1.0]]
+    - [[0.0, 1.0], [-1.0, 0.0]]
+tasks:""",
+            qutrit_b,
+        )
+        for task in ("product", "chain"):
+            path = write(tmp_path, text.replace("chain: {A: A, B: B}", f"{task}: {{A: A, B: B}}"))
+            assert main(["compute", path]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_complexity_refusal(self, tmp_path, capsys):
         path = write(tmp_path, QUTRIT_SUM)
@@ -157,6 +227,9 @@ class TestExitCodes:
             "range: [0.0, 3.0], steps: 0",
             "range: [0.0, 3.0], steps: -3",
             "param: phi, range: [0.0, 3.0], steps: 5",
+            "range: [0.0, 3.0], steps: 2.7",
+            "range: [0.0, 3.0], steps: true",
+            'range: [0.0, 3.0], steps: "5"',
         ],
     )
     def test_bad_sweep(self, tmp_path, capsys, sweep):

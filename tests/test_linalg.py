@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_hermitian
+from oracles import commutator, matrix_power
 from skewbounds.errors import DomainError, NotHermitian, ValidationError
 from skewbounds.linalg import (
     PAULI_X,
@@ -11,9 +12,7 @@ from skewbounds.linalg import (
     PAULI_Z,
     DensityMatrix,
     as_observable,
-    commutator,
     eig_hermitian,
-    matrix_power,
 )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_hermitian, random_unitary
+from oracles import psd_sqrt, reconstruct, wyd_direct
 from skewbounds.errors import DimensionMismatch, DomainError
 from skewbounds.linalg import PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix
 from skewbounds.loo import (
@@ -12,11 +13,9 @@ from skewbounds.loo import (
     gram_matrix,
     loo_basis,
     modulus_vector,
-    psd_sqrt,
-    reconstruct,
 )
 from skewbounds.metrics import make_metric
-from skewbounds.skewinfo import correlation, skew_information
+from skewbounds.skewinfo import correlation, correlation_matrix, skew_information
 
 WY = make_metric("wy")
 
@@ -120,37 +119,38 @@ class TestGramMatrix:
     def test_maximally_mixed_gives_zero(self):
         for d in (2, 3):
             rho = DensityMatrix.from_matrix(np.eye(d) / d)
-            gf = gram_matrix(rho, loo_basis(d), WY)
-            assert np.max(np.abs(gf.gamma)) <= 1e-12
+            gamma = correlation_matrix(rho, loo_basis(d), WY)
+            assert np.max(np.abs(gamma)) <= 1e-12
 
     def test_entries_are_basis_correlations(self):
         rng = np.random.default_rng(60)
         rho = random_density(rng, 2)
         basis = loo_basis(2)
-        gf = gram_matrix(rho, basis, WY)
+        gamma = correlation_matrix(rho, basis, WY)
         for mu in range(4):
             for nu in range(4):
                 want = correlation(rho, basis[mu], basis[nu], WY)
-                assert gf.gamma[mu, nu] == pytest.approx(want, abs=1e-12)
+                assert gamma[mu, nu] == pytest.approx(want, abs=1e-12)
 
     def test_gamma_hermitian_psd_and_factored(self):
         rng = np.random.default_rng(61)
         for d in (2, 3):
             for m in (WY, make_metric("sld"), make_metric("wyd", 0.25)):
                 rho = random_density(rng, d, rank=int(rng.integers(1, d + 1)))
-                gf = gram_matrix(rho, loo_basis(d), m)
-                assert np.max(np.abs(gf.gamma - gf.gamma.conj().T)) <= 1e-10
-                assert np.min(np.linalg.eigvalsh(gf.gamma)) >= -1e-10
-                resid = gf.factor.conj().T @ gf.factor - gf.gamma
+                gamma = correlation_matrix(rho, loo_basis(d), m)
+                C = gram_matrix(rho, loo_basis(d), m)
+                assert np.max(np.abs(gamma - gamma.conj().T)) <= 1e-10
+                assert np.min(np.linalg.eigvalsh(gamma)) >= -1e-10
+                resid = C.conj().T @ C - gamma
                 assert np.max(np.abs(resid)) <= 1e-10
 
     def test_identity_direction_in_kernel(self):
         rng = np.random.default_rng(62)
         rho = random_density(rng, 3)
-        gf = gram_matrix(rho, loo_basis(3), WY)
+        gamma = correlation_matrix(rho, loo_basis(3), WY)
         e_id = np.zeros(9)
         e_id[-1] = 1.0
-        assert np.max(np.abs(gf.gamma @ e_id)) <= 1e-12
+        assert np.max(np.abs(gamma @ e_id)) <= 1e-12
 
     def test_quadratic_form_is_skew_information(self):
         rng = np.random.default_rng(63)
@@ -158,22 +158,20 @@ class TestGramMatrix:
             basis = loo_basis(d)
             for m in (WY, make_metric("sld"), make_metric("wyd", 0.75)):
                 rho = random_density(rng, d)
-                gf = gram_matrix(rho, basis, m)
+                gamma = correlation_matrix(rho, basis, m)
                 A = random_hermitian(rng, d)
                 a = expand(A, basis)
-                quad = float((a @ gf.gamma @ a).real)
+                quad = float((a @ gamma @ a).real)
                 assert abs(quad - skew_information(rho, A, m)) <= 1e-9
 
     def test_quadratic_form_matches_wyd_oracle(self):
-        from skewbounds.skewinfo import wyd_direct
-
         m = make_metric("wyd", 0.25)
         rho = DensityMatrix.from_bloch([np.sqrt(3) / 2, 0, 0])
         basis = loo_basis(2)
-        gf = gram_matrix(rho, basis, m)
+        gamma = correlation_matrix(rho, basis, m)
         A = PAULI_X - PAULI_Z / 2
         a = expand(A, basis)
-        quad = float((a @ gf.gamma @ a).real)
+        quad = float((a @ gamma @ a).real)
         assert abs(quad - wyd_direct(rho, A, 0.25)) <= 1e-10
 
 
@@ -181,17 +179,17 @@ class TestModulusVector:
     def test_zero_coefficients(self):
         rng = np.random.default_rng(70)
         rho = random_density(rng, 2)
-        gf = gram_matrix(rho, loo_basis(2), WY)
-        assert np.array_equal(modulus_vector(gf, np.zeros(4)), np.zeros(4))
+        C = gram_matrix(rho, loo_basis(2), WY)
+        assert np.array_equal(modulus_vector(C, np.zeros(4)), np.zeros(4))
 
     def test_norm_identity(self):
         rng = np.random.default_rng(71)
         for d in (2, 3):
             basis = loo_basis(d)
             rho = random_density(rng, d)
-            gf = gram_matrix(rho, basis, WY)
+            C = gram_matrix(rho, basis, WY)
             A = random_hermitian(rng, d)
-            x = modulus_vector(gf, expand(A, basis))
+            x = modulus_vector(C, expand(A, basis))
             assert abs(np.sum(x * x) - skew_information(rho, A, WY)) <= 1e-9
 
     def test_cauchy_schwarz_bridge(self):
@@ -200,11 +198,11 @@ class TestModulusVector:
         for d in (2, 3):
             basis = loo_basis(d)
             rho = random_density(rng, d)
-            gf = gram_matrix(rho, basis, WY)
+            C = gram_matrix(rho, basis, WY)
             A = random_hermitian(rng, d)
             B = random_hermitian(rng, d)
-            f = gf.factor @ expand(A, basis)
-            g = gf.factor @ expand(B, basis)
+            f = C @ expand(A, basis)
+            g = C @ expand(B, basis)
             bridge = abs(np.vdot(f, g))
             assert abs(bridge - abs(correlation(rho, A, B, WY))) <= 1e-9
             # same under a random left-unitary re-gauging
@@ -214,6 +212,6 @@ class TestModulusVector:
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(73)
         rho = random_density(rng, 2)
-        gf = gram_matrix(rho, loo_basis(2), WY)
+        C = gram_matrix(rho, loo_basis(2), WY)
         with pytest.raises(DimensionMismatch):
-            modulus_vector(gf, np.zeros(9))
+            modulus_vector(C, np.zeros(9))

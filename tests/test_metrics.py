@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import mc_function, metric_label, weight
 from skewbounds.errors import DomainError, ValidationError
 from skewbounds.metrics import (
     MetricSpec,
     make_metric,
-    mc_function,
-    metric_label,
     parse_metric,
-    weight,
     weight_matrix,
 )
 

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_density, random_hermitian
+from oracles import pairwise_correlation, wyd_direct
 from skewbounds.errors import DimensionMismatch, DomainError
 from skewbounds.linalg import PAULI_X, PAULI_Z, DensityMatrix
 from skewbounds.metrics import make_metric
-from skewbounds.skewinfo import correlation, skew_information, wyd_direct
+from skewbounds.skewinfo import correlation, correlation_matrix, skew_information
 
 WY = make_metric("wy")
 
@@ -98,6 +100,51 @@ class TestSkewInformation:
             A = random_hermitian(rng, d)
             for m in (WY, make_metric("sld"), make_metric("wyd", 0.25)):
                 assert skew_information(rho, A, m) >= 0.0
+
+
+class TestCorrelationMatrix:
+    METRICS = [WY, make_metric("sld"), make_metric("wyd", 0.25)]
+
+    @pytest.mark.parametrize("scale", [1.0, 1000.0])
+    def test_matches_pairwise_oracle(self, scale):
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            d = int(rng.integers(2, 6))
+            N = int(rng.integers(1, 5))
+            rho = random_density(rng, d, rank=int(rng.integers(1, d + 1)))
+            obs = [scale * random_hermitian(rng, d) for _ in range(N)]
+            m = self.METRICS[int(rng.integers(len(self.METRICS)))]
+            K = correlation_matrix(rho, obs, m)
+            assert K.shape == (N, N)
+            for i in range(N):
+                for j in range(N):
+                    size = max(1.0, np.linalg.norm(obs[i]) * np.linalg.norm(obs[j]))
+                    want = pairwise_correlation(rho, obs[i], obs[j], m)
+                    assert abs(K[i, j] - want) <= 1e-12 * size
+
+    def test_hermitian_with_real_nonnegative_diagonal(self):
+        rng = np.random.default_rng(10)
+        rho = random_density(rng, 4, rank=2)
+        K = correlation_matrix(rho, [random_hermitian(rng, 4) for _ in range(3)], WY)
+        assert np.array_equal(K, K.conj().T)
+        assert np.all(K.diagonal().imag == 0.0)
+        assert np.all(K.diagonal().real >= 0.0)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        c=st.floats(1.0, 1e6),
+        kind=st.sampled_from(["wy", "sld", "wyd"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scale_covariance(self, seed, c, kind):
+        # I(cA) = c^2 I(A), with no residue check tripping at large c
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 6))
+        rho = random_density(rng, d, rank=int(rng.integers(1, d + 1)))
+        A = random_hermitian(rng, d)
+        m = make_metric("wyd", 0.3) if kind == "wyd" else make_metric(kind)
+        base = skew_information(rho, A, m)
+        assert abs(skew_information(rho, c * A, m) - c * c * base) <= 1e-12 * c * c * base
 
 
 class TestWydDirectOracle:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import importlib.resources
 import math
 import sys
@@ -172,6 +173,8 @@ def run_reproduce(example_id: int, strategy: SearchStrategy, out, err) -> None:
         err.write(f"  {label} = {got:.3f} (printed {ref}): {status}\n")
 
 
+# Built once per process: parse_args reads the parser and does not change it.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skewbounds",

@@ -20,6 +20,9 @@ from .errors import (
 # Max-entry tolerances for Hermiticity/trace/unitarity checks and for
 # negative-eigenvalue slack.  Double-precision eigensolvers at d <= 16 land
 # around 1e-13; 1e-9 leaves headroom for user-supplied matrices.
+# ``is_hermitian`` scales TOL_HERM by max(1, max |M_ij|), since a matrix built
+# as U diag U^dagger carries rounding relative to its entries.  A state's
+# entries are at most 1, so every check on a state stays at unit scale.
 TOL_HERM = 1e-9
 TOL_PSD = 1e-9
 
@@ -39,7 +42,9 @@ def as_matrix(M) -> np.ndarray:
 
 
 def is_hermitian(M: np.ndarray, tol: float = TOL_HERM) -> bool:
-    return bool(np.max(np.abs(M - M.conj().T)) <= tol)
+    """Hermitian to within tol times max(1, max |M_ij|)."""
+    scale = max(1.0, float(np.max(np.abs(M))))
+    return bool(np.max(np.abs(M - M.conj().T)) <= tol * scale)
 
 
 def as_observable(M) -> np.ndarray:

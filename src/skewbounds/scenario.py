@@ -216,12 +216,11 @@ def _parse_observable(name: str, rows) -> np.ndarray:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != len(rows):
             raise ParseError(f"observable {name!r}: row {i} is not length {len(rows)}")
-        mat.append(
-            [
-                complex(*map(float, _complex_entry(e, f"observable {name!r} row {i}")))
-                for e in row
-            ]
-        )
+        where = f"observable {name!r} row {i}"
+        try:
+            mat.append([complex(*map(float, _complex_entry(e, where))) for e in row])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{where}: entries must be numbers ({exc})") from exc
     try:
         return as_observable(mat)
     except Exception as exc:
@@ -267,15 +266,56 @@ def _parse_task(entry) -> Task:
     raise ParseError(f"unknown task kind {kind!r}")
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where} must be a list, not {type(value).__name__}")
+    return value
+
+
 def _freeze(value):
     if isinstance(value, list):
         return tuple(_freeze(v) for v in value)
     return value
 
 
+# libyaml's loader where PyYAML was built with it; both build the same
+# objects through the same resolver and SafeConstructor.
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# The deepest valid scenario nests 5 collections: the document's mapping,
+# then state, density, a row and an entry (or observables, a matrix, a row and
+# an entry).  Deeper input is refused before it is loaded: both loaders build
+# nodes recursively, and the C loader crashes the interpreter on input nested
+# some 50000 deep.
+_MAX_NESTING = 32
+
+
+def _check_nesting(text: str, source: str) -> None:
+    """Raise ParseError if the document nests more than _MAX_NESTING collections.
+
+    Walks the parser's events, which needs no recursion.  Aliases are refused
+    as well: one alias can make a document recursive, and a chain of them can
+    nest it, or multiply its size, without bound.  Tasks name observables
+    directly, so the format has no use for them.
+    """
+    depth = 0
+    for event in yaml.parse(text, Loader=_Loader):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > _MAX_NESTING:
+                raise ParseError(f"{source}: nested more than {_MAX_NESTING} deep")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+        elif isinstance(event, yaml.AliasEvent):
+            raise ParseError(
+                f"{source}: alias *{event.anchor} is not supported in scenario files"
+            )
+
+
 def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     try:
-        doc = yaml.safe_load(text)
+        _check_nesting(text, source)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ParseError(f"{source}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -293,31 +333,40 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     (state_kind, state_spec), = state.items()
     if state_kind not in ("bloch", "pure", "density"):
         raise ParseError(f"{source}: unknown state kind {state_kind!r}")
+    _list(state_spec, f"{source}: state {state_kind}")
     if state_kind == "pure":
         state_spec = [
             _complex_entry(e, f"{source}: pure amplitude {i}")
             for i, e in enumerate(state_spec)
         ]
     elif state_kind == "density":
+        rows = [_list(row, f"{source}: density row {i}") for i, row in enumerate(state_spec)]
+        if any(len(row) != len(rows) for row in rows):
+            raise ParseError(f"{source}: density rows must all have length {len(rows)}")
         state_spec = [
             [_complex_entry(e, f"{source}: density row {i}") for e in row]
-            for i, row in enumerate(state_spec)
+            for i, row in enumerate(rows)
         ]
 
     metric_label = str(doc.get("metric", "wy"))
     metric = parse_metric(metric_label)
     theta = doc.get("theta")
     if theta is not None:
-        theta = float(theta)
+        try:
+            theta = float(theta)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{source}: theta {theta!r} is not a number") from exc
 
+    if not isinstance(obs_raw, dict):
+        raise ParseError(f"{source}: observables must be a mapping of names to matrices")
     observables = {
         str(name): _parse_observable(str(name), rows)
         for name, rows in obs_raw.items()
     }
-    tasks = tuple(_parse_task(t) for t in tasks_raw)
+    tasks = tuple(_parse_task(t) for t in _list(tasks_raw, f"{source}: tasks"))
     for t in tasks:
         for name in getattr(t, "names", ()):
-            if name not in observables:
+            if not isinstance(name, str) or name not in observables:
                 raise ParseError(f"{source}: task references unknown observable {name!r}")
 
     scenario = Scenario(

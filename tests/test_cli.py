@@ -2,6 +2,9 @@
 
 import dataclasses
 import importlib.resources
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +12,19 @@ import pytest
 
 import skewbounds.loo
 import skewbounds.skewinfo
-from skewbounds.cli import main
-from skewbounds.scenario import parse_scenario_text, write_scenario
+from conftest import random_density, random_unitary
+from skewbounds.cli import build_parser, main
+from skewbounds.metrics import parse_metric
+from skewbounds.scenario import (
+    PairTask,
+    Scenario,
+    SumTask,
+    parse_scenario_text,
+    write_scenario,
+)
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 QUBIT_CHAIN = """
 metric: "wyd:0.25"
@@ -52,6 +64,53 @@ observables:
 tasks:
   - sum: {observables: [A, B, C]}
 """
+
+
+# a chain and a three-observable sum at theta = 0.7, where --metric changes
+# every column and a sampled search with no samples misses the best LB_thm3
+QUBIT_CHAIN_SUM3 = QUBIT_CHAIN.replace('"wyd:0.25"\n', '"wyd:0.25"\ntheta: 0.7\n').replace(
+    "tasks:\n",
+    """  C:
+    - [[0.5, 0.0], [0.0, -1.0]]
+    - [[0.0, 1.0], [-0.5, 0.0]]
+tasks:
+  - sum: {observables: [A, B, C]}
+""",
+)
+
+
+BLOCH = "state:\n  bloch: [0.5, 0.0, 0.0]\n"
+SIGMA_X = "observables:\n  A: [[0.0, 1.0], [1.0, 0.0]]\n"
+# sections of the wrong YAML type, each once an uncaught TypeError,
+# ValueError or AttributeError
+MALFORMED = {
+    "observables-list": BLOCH + "observables: [1]\n",
+    "observables-set": BLOCH + "observables: !!set {A}\n",
+    "entry-of-pairs": BLOCH + "observables:\n  A: [[[[1, 0], [0, 0]], 0], [0, 0]]\n",
+    "entry-text": BLOCH + "observables:\n  A: [[[abc, 0], 0], [0, 0]]\n",
+    "tasks-scalar": BLOCH + SIGMA_X + "tasks: 5\n",
+    "task-name-list": BLOCH + SIGMA_X + "tasks:\n  - product: {A: [1], B: A}\n",
+    "sum-name-list": BLOCH + SIGMA_X + "tasks:\n  - sum: {observables: [[1], A]}\n",
+    "bloch-scalar": "state:\n  bloch: 5\n" + SIGMA_X,
+    "pure-scalar": "state:\n  pure: 5\n" + SIGMA_X,
+    "density-ragged": "state:\n  density: [[1, 0], [0]]\n" + SIGMA_X,
+    "density-row-scalar": "state:\n  density: [5]\n" + SIGMA_X,
+    "theta-list": "theta: [1]\n" + BLOCH + SIGMA_X,
+    "theta-text": "theta: abc\n" + BLOCH + SIGMA_X,
+    "theta-date": "theta: 2001-12-14\n" + BLOCH + SIGMA_X,
+}
+
+
+def run_cli(*args):
+    """The CLI in a fresh interpreter, so that a crash cannot end the test run."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "skewbounds.cli", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
 
 
 def write(tmp_path, text, name="scenario.yaml"):
@@ -102,6 +161,26 @@ class TestCompute:
         assert out.read_text().startswith("theta,product,cauchy")
 
 
+class TestParserReuse:
+    def test_second_call_matches_a_fresh_process(self, tmp_path, capsys):
+        # the parser is built once per process; options of one call must not
+        # carry over into the next
+        assert build_parser() is build_parser()
+        path = write(tmp_path, QUBIT_CHAIN_SUM3)
+        options = ["--metric", "sld", "--strategy", "sampled", "--seed", "3", "--samples", "0"]
+        options.append("--out")
+        first, fresh_first = tmp_path / "first.csv", tmp_path / "fresh_first.csv"
+        assert main([*options, str(first), "compute", path]) == 0
+        assert main(["compute", path]) == 0
+        second = capsys.readouterr().out
+        fresh = run_cli("compute", path)
+        assert fresh.returncode == 0, fresh.stderr
+        assert second == fresh.stdout
+        assert run_cli(*options, str(fresh_first), "compute", path).returncode == 0
+        assert first.read_text() == fresh_first.read_text()
+        assert first.read_text() != second
+
+
 class TestSweep:
     def test_row_per_grid_point(self, tmp_path, capsys):
         path = write(tmp_path, QUBIT_CHAIN)
@@ -145,6 +224,28 @@ class TestScale:
         vals = dict(zip(header, map(float, rows[0])))
         assert vals["I_1"] == pytest.approx(vals["product"], rel=1e-9)
         assert vals["sum"] >= vals["LB_thm3"] * (1 - 1e-9)
+
+    def test_unitary_rotated_observables_times_1e8(self, tmp_path, capsys):
+        # U diag U^dagger at 1e8 deviates from Hermitian by more than an
+        # absolute 1e-9; the check scales with the entries
+        rng = np.random.default_rng(5)
+        rho = random_density(rng, 4).matrix
+        observables = {}
+        for name in "AB":
+            U = random_unitary(rng, 4)
+            observables[name] = 1e8 * ((U * rng.standard_normal(4)) @ U.conj().T)
+        s = Scenario(
+            state_kind="density",
+            state_spec=tuple(tuple((float(z.real), float(z.imag)) for z in r) for r in rho),
+            observables=observables,
+            metric_label="wy",
+            metric=parse_metric("wy"),
+            tasks=(PairTask("chain", "A", "B"), SumTask(("A", "B"))),
+        )
+        assert main(["compute", write(tmp_path, write_scenario(s))]) == 0
+        header, rows = read_csv(capsys)
+        vals = dict(zip(header, map(float, rows[0])))
+        assert vals["I_1"] == pytest.approx(vals["product"], rel=1e-9)
 
 
 class TestPointWork:
@@ -212,6 +313,21 @@ tasks:""",
             path = write(tmp_path, text.replace("chain: {A: A, B: B}", f"{task}: {{A: A, B: B}}"))
             assert main(["compute", path]) == 1
             assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("depth", [600, 100_000])
+    def test_deep_nesting(self, tmp_path, depth):
+        # in a fresh interpreter: loaded without the nesting check, depth 600
+        # ends in a RecursionError and depth 100000 crashes libyaml's loader
+        path = write(tmp_path, "state: " + "[" * depth + "]" * depth + "\n")
+        proc = run_cli("compute", path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("text", MALFORMED.values(), ids=list(MALFORMED))
+    def test_malformed_section(self, tmp_path, capsys, text):
+        assert main(["compute", write(tmp_path, text)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_complexity_refusal(self, tmp_path, capsys):
         path = write(tmp_path, QUTRIT_SUM)

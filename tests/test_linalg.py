@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, random_unitary
 from oracles import commutator, matrix_power
 from skewbounds.errors import DomainError, NotHermitian, ValidationError
 from skewbounds.linalg import (
@@ -161,3 +161,16 @@ def test_as_observable_rejects_non_hermitian():
         as_observable([[0, 1], [2, 0]])
     A = as_observable([[0, 1j], [-1j, 0]])
     assert A.dtype == complex
+
+
+def test_hermitian_tolerance_scales_with_the_entries():
+    # U diag U^dagger at 1e8 carries rounding above an absolute 1e-9 on
+    # every draw; relative to its entries it is far below
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        U = random_unitary(rng, 4)
+        A = 1e8 * ((U * rng.standard_normal(4)) @ U.conj().T)
+        assert np.array_equal(as_observable(A), A)
+        eig_hermitian(A)
+    with pytest.raises(NotHermitian):
+        as_observable(1e8 * np.array([[0, 1], [1 + 1e-6, 0]]))

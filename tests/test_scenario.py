@@ -1,19 +1,34 @@
 """Scenario parsing, validation, expression handling, and round-tripping."""
 
 import importlib.resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
+import skewbounds.scenario
 from skewbounds.errors import ParseError, ValidationError
 from skewbounds.scenario import (
     PairTask,
+    Scenario,
     SumTask,
     SweepTask,
     eval_scalar,
     parse_scenario_text,
     write_scenario,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMITTED_YAML = sorted(
+    [
+        *(ROOT / "src" / "skewbounds" / "scenarios").glob("*.yaml"),
+        *(ROOT / "tests" / "data").glob("*.yaml"),
+        *(ROOT / "tests" / "golden").glob("*.yaml"),
+    ]
+)
+LOADERS = [yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)]
 
 MINIMAL = """
 metric: "wy"
@@ -155,3 +170,86 @@ class TestRoundTrip:
         assert set(s2.observables) == set(s.observables)
         for name in s.observables:
             assert np.array_equal(s2.observables[name], s.observables[name])
+
+
+@st.composite
+def scenarios(draw):
+    """Scenarios as write_scenario sees them; the values need not be valid."""
+    d = draw(st.integers(2, 4))
+    real = st.floats(allow_nan=False, allow_infinity=False)
+    scalar = st.one_of(real, st.text())
+    kind = draw(st.sampled_from(["bloch", "pure", "density"]))
+    pair = st.tuples(scalar, scalar)
+    if kind == "bloch":
+        spec = draw(st.tuples(scalar, scalar, scalar))
+    elif kind == "pure":
+        spec = tuple(draw(st.lists(pair, min_size=d, max_size=d)))
+    else:
+        row = st.lists(pair, min_size=d, max_size=d).map(tuple)
+        spec = tuple(draw(st.lists(row, min_size=d, max_size=d)))
+    names = draw(st.lists(st.text(min_size=1), min_size=2, max_size=3, unique=True))
+    entries = st.lists(real, min_size=2 * d * d, max_size=2 * d * d)
+    observables = {
+        name: np.array(e[::2]).reshape(d, d) + 1j * np.array(e[1::2]).reshape(d, d)
+        for name, e in ((name, draw(entries)) for name in names)
+    }
+    tasks = (
+        PairTask(draw(st.sampled_from(["product", "chain"])), names[0], names[1]),
+        SumTask(tuple(names)),
+        SweepTask(draw(st.text()), draw(real), draw(real), draw(st.integers())),
+    )
+    theta = draw(st.one_of(st.none(), real))
+    return Scenario(kind, spec, observables, draw(st.text()), None, theta, tasks)
+
+
+class TestLoader:
+    def test_libyaml_loader_when_built(self):
+        # a silent fall-back to the pure-Python loader would cost ~4 ms a file
+        expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert skewbounds.scenario._Loader is expected
+
+    @pytest.mark.parametrize("path", COMMITTED_YAML, ids=lambda p: p.name)
+    def test_committed_files_load_alike(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=skewbounds.scenario._Loader) == yaml.load(
+            text, Loader=yaml.SafeLoader
+        )
+
+    @given(scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_written_scenarios_load_alike(self, s):
+        text = write_scenario(s)
+        assert yaml.load(text, Loader=skewbounds.scenario._Loader) == yaml.load(
+            text, Loader=yaml.SafeLoader
+        )
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+class TestNestingGuard:
+    @staticmethod
+    def nested(depth):
+        # the document's mapping is the first of `depth` open collections
+        return "state: " + "[" * (depth - 1) + "]" * (depth - 1) + "\n"
+
+    def test_limit(self, monkeypatch, loader):
+        monkeypatch.setattr(skewbounds.scenario, "_Loader", loader)
+        with pytest.raises(ParseError, match="missing section"):
+            parse_scenario_text(self.nested(32))
+        # deeper input crashes libyaml's loader; test_cli runs it in a child
+        for depth in (33, 600):
+            with pytest.raises(ParseError, match="nested more than 32 deep"):
+                parse_scenario_text(self.nested(depth))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # recursive: the alias names the list that holds it
+            "state:\n  pure: &a [*a, [0.0, 0.0]]\nobservables: {}\n",
+            "x: &x [1.0, 0.0]\nstate:\n  pure: [*x, [0.0, 0.0]]\nobservables: {}\n",
+        ],
+        ids=["recursive", "plain"],
+    )
+    def test_aliases_are_refused(self, monkeypatch, loader, text):
+        monkeypatch.setattr(skewbounds.scenario, "_Loader", loader)
+        with pytest.raises(ParseError, match="alias"):
+            parse_scenario_text(text)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_density, random_hermitian
+from conftest import point_arrays, random_density, random_hermitian, random_unitary
 from oracles import pairwise_correlation, wyd_direct
 from skewbounds.errors import DimensionMismatch, DomainError
 from skewbounds.linalg import PAULI_X, PAULI_Z, DensityMatrix
+from skewbounds.bounds import product_chain
 from skewbounds.metrics import make_metric
 from skewbounds.skewinfo import correlation, correlation_matrix, skew_information
 
@@ -145,6 +146,34 @@ class TestCorrelationMatrix:
         m = make_metric("wyd", 0.3) if kind == "wyd" else make_metric(kind)
         base = skew_information(rho, A, m)
         assert abs(skew_information(rho, c * A, m) - c * c * base) <= 1e-12 * c * c * base
+
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["wy", "sld", "wyd"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unitary_covariance(self, seed, kind):
+        # K(U rho U^dagger, U A U^dagger) = K(rho, A); so are the chain's
+        # gauge-free endpoints, the product and the Cauchy-Schwarz bound
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 6))
+        rho = random_density(rng, d, rank=int(rng.integers(1, d + 1)))
+        obs = np.array([random_hermitian(rng, d) for _ in range(int(rng.integers(2, 4)))])
+        U = random_unitary(rng, d)
+        m = make_metric("wyd", 0.3) if kind == "wyd" else make_metric(kind)
+        K, (x, y, *_) = point_arrays(rho, obs, m)
+        rotated = DensityMatrix.from_matrix(U @ rho.matrix @ U.conj().T)
+        K_u, (x_u, y_u, *_) = point_arrays(rotated, U @ obs @ U.conj().T, m)
+        norms = np.linalg.norm(obs, axis=(1, 2))
+        assert np.all(np.abs(K_u - K) <= 1e-12 * np.outer(norms, norms))
+        pc, pc_u = product_chain(K[:2, :2], x, y), product_chain(K_u[:2, :2], x_u, y_u)
+        size = (norms[0] * norms[1]) ** 2
+        assert abs(pc_u.product - pc.product) <= 1e-12 * size
+        assert abs(pc_u.cauchy - pc.cauchy) <= 1e-12 * size
+        # I_1 comes from the rotated state's Gram factor: equal to the
+        # factor's accuracy, the tolerance check_product_chain allows
+        assert abs(pc_u.I_seq[0] - pc.product) <= 1e-9 * size
 
 
 class TestWydDirectOracle:

@@ -8,12 +8,16 @@ S_{10} = I_1 and descends lexicographically in (p, q), with S_{p,p-1} = I_p.
 
 The product and sum bounds are pure functions of two arrays per point: the
 correlation matrix K of the observables (skewinfo.correlation_matrix) and
-their modulus vectors (loo.modulus_vector).  All chain values are computed
-by direct summation of the defining formulas.
+their modulus vectors (loo.modulus_vector).  Every function here also takes
+a stack of points along a leading axis, K (T, N, N) and moduli (T, n), and
+evaluates it with array operations; the permutation searches of N >= 3 sum
+bounds run point by point.  The checks report the first failing point of a
+stack, with the error's ``row`` set to its index.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -25,7 +29,9 @@ from .errors import (
     DimensionMismatch,
     InvariantViolation,
     LengthMismatch,
+    SkewboundsError,
     ValidationError,
+    raise_first,
 )
 
 # Hard cap on enumerated permutation candidates for exhaustive searches.
@@ -52,35 +58,38 @@ class SearchStrategy:
 def _as_modulus_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
+    if x.shape != y.shape or x.ndim not in (1, 2):
         raise LengthMismatch(f"modulus vectors of shapes {x.shape} and {y.shape}")
     return x, y
 
 
+def _value(a):
+    """A float for a single point, the array itself for a stack."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
 def chain_Ik(x, y) -> np.ndarray:
-    """The refinement chain I_1 ... I_n, n = len(x), by direct summation.
+    """The refinement chain I_1 ... I_n, n = len(x), from prefix sums.
 
     I_k keeps the cross terms x_i^2 y_j^2 + x_j^2 y_i^2 for pairs reaching
     beyond position k and replaces the pairs inside the first k positions by
-    their geometric-mean counterparts 2 x_i y_i x_j y_j.
+    their geometric-mean counterparts 2 x_i y_i x_j y_j.  x and y may be
+    vectors (n,) or stacks (T, n); the chain has the same shape.
     """
     x, y = _as_modulus_pair(x, y)
-    n = len(x)
     x2, y2 = x * x, y * y
     xy = x * y
-    diag = float(np.dot(x2, y2))
-    # prefix sums over pairs i < j <= k of the two pair weights
-    total_cross = 0.0
-    cross_prefix = np.zeros(n + 1)
-    geo_prefix = np.zeros(n + 1)
-    for k in range(1, n):
-        total_cross += float(np.sum(x2[:k]) * y2[k] + np.sum(y2[:k]) * x2[k])
-        geo_prefix[k + 1] = geo_prefix[k] + 2.0 * float(np.sum(xy[:k]) * xy[k])
-        cross_prefix[k + 1] = total_cross
-    out = np.empty(n)
-    for k in range(1, n + 1):
-        out[k - 1] = diag + (total_cross - cross_prefix[k]) + geo_prefix[k]
-    return out
+    # a row-by-column product sums as np.dot does on one pair of vectors
+    diag = (x2[..., None, :] @ y2[..., :, None])[..., 0]
+    # the pair weights of the pairs (i, j), i < j, summed over i for each j >= 1
+    cx, cy, cxy = (np.cumsum(v, axis=-1)[..., :-1] for v in (x2, y2, xy))
+    cross = cx * y2[..., 1:] + cy * x2[..., 1:]
+    geo = 2.0 * (cxy * xy[..., 1:])
+    # prefix sums over the pairs with j < k, for k = 1 .. n
+    zero = np.zeros_like(diag)
+    cross_prefix = np.concatenate([zero, np.cumsum(cross, axis=-1)], axis=-1)
+    geo_prefix = np.concatenate([zero, np.cumsum(geo, axis=-1)], axis=-1)
+    return diag + (cross_prefix[..., -1:] - cross_prefix) + geo_prefix
 
 
 def spq_order(n: int) -> list[tuple[int, int]]:
@@ -91,27 +100,44 @@ def spq_order(n: int) -> list[tuple[int, int]]:
     return keys
 
 
-def table_Spq(x, y) -> dict[tuple[int, int], float]:
-    """The refinement table S_{pq} by direct summation.
+@functools.cache
+def _spq_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays of the flat table, read-only.
+
+    The 0-based p and q of the keys (p, q) after (1, 0), in spq_order, and
+    the positions of S_{p,p-1}, p = 2..n, in the flat table.
+    """
+    p, q = np.array(spq_order(n)[1:], dtype=np.intp).reshape(-1, 2).T - 1
+    diagonal = 1 + np.flatnonzero(p == q + 1)
+    for a in (p, q, diagonal):
+        a.setflags(write=False)
+    return p, q, diagonal
+
+
+def table_Spq(x, y) -> np.ndarray:
+    """The refinement table S_{pq} as one flat array in spq_order.
 
     S_{pq} subtracts from sum_{ij} x_i^2 y_j^2 every cross-difference square
     (x_j y_i - x_i y_j)^2 with i < j <= p-1, plus the first q such squares
-    against position p.  Includes S_{10} (nothing subtracted) and satisfies
-    S_{p,p-1} = I_p.
+    against position p: the total, minus a prefix of whole columns of the
+    upper triangle, minus a prefix of column p.  Entry 0 is S_{10}, with
+    nothing subtracted, and S_{p,p-1} = I_p.  x and y may be vectors (n,)
+    or stacks (T, n), giving (1 + n(n-1)/2,) or (T, 1 + n(n-1)/2).
     """
     x, y = _as_modulus_pair(x, y)
-    n = len(x)
-    total = float(np.sum(x * x) * np.sum(y * y))
-    # Q[i, j] = (x_j y_i - x_i y_j)^2, 0-based
-    Q = (np.outer(y, x) - np.outer(x, y)) ** 2
-    table = {(1, 0): total}
-    tri = 0.0  # sum of Q over i < j <= p-1 (1-based)
-    for p in range(2, n + 1):
-        tri += float(np.sum(Q[: p - 2, p - 2])) if p >= 3 else 0.0
-        col = np.cumsum(Q[: p - 1, p - 1])
-        for q in range(1, p):
-            table[(p, q)] = total - tri - float(col[q - 1])
-    return table
+    n = x.shape[-1]
+    total = np.sum(x * x, axis=-1) * np.sum(y * y, axis=-1)
+    # Q[i, j] = (x_j y_i - x_i y_j)^2 for i < j, 0-based; zero elsewhere
+    Q = np.triu(
+        (y[..., :, None] * x[..., None, :] - x[..., :, None] * y[..., None, :]) ** 2, 1
+    )
+    col = np.cumsum(Q, axis=-2)
+    tri = np.cumsum(col[..., -1, :], axis=-1)
+    p, q, _ = _spq_index(n)
+    S = np.empty(x.shape[:-1] + (1 + len(p),))
+    S[..., 0] = total
+    S[..., 1:] = (total[..., None] - tri[..., p - 1]) - col[..., q, p]
+    return S
 
 
 def best_permuted_product_bound(
@@ -218,34 +244,8 @@ def _candidate_rows(X: np.ndarray, strategy: SearchStrategy):
         yield rows[start : start + _CHUNK_ROWS]
 
 
-def sum_bound_parallelogram(
-    moduli: list[np.ndarray], strategy: SearchStrategy = SearchStrategy()
-) -> tuple[float, list[tuple[int, ...]]]:
-    """Best parallelogram-law sum bound over candidate permutation tuples.
-
-    Returns (value, witness tuple of permutations).  For N = 2 the
-    parallelogram law gives every tuple the value ||X1||^2 + ||X2||^2, which
-    is returned with the identity witness under either strategy.  For N >= 3
-    the bound is invariant under composing every permutation with a common
-    one, so exhaustive enumeration fixes the first permutation to the
-    identity and sweeps the remaining n! ** (N-1) tuples (capped); the
-    candidates are evaluated as arrays, chunk by chunk, and the witness is
-    the first maximum in search order.
-    """
-    N = len(moduli)
-    if N < 2:
-        raise DimensionMismatch("sum bound needs at least 2 observables")
-    vectors = [np.asarray(v, dtype=float) for v in moduli]
-    n = len(vectors[0])
-    for v in vectors:
-        if v.shape != (n,):
-            raise LengthMismatch("modulus vectors must share one length")
-    if N == 2:
-        identity = tuple(range(n))
-        value = float(np.sum(vectors[0] ** 2) + np.sum(vectors[1] ** 2))
-        return value, [identity, identity]
-
-    X = np.array(vectors)
+def _best_tuple(X: np.ndarray, strategy: SearchStrategy) -> tuple[float, list[tuple[int, ...]]]:
+    """First maximum of the tuple values of one family X (N, n), N >= 3, in search order."""
     best = -np.inf
     witness = None
     for rows in _candidate_rows(X, strategy):
@@ -257,51 +257,122 @@ def sum_bound_parallelogram(
     return best, [tuple(int(i) for i in p) for p in witness]
 
 
+def sum_bound_parallelogram(
+    moduli, strategy: SearchStrategy = SearchStrategy()
+) -> tuple[float, list[tuple[int, ...]]]:
+    """Best parallelogram-law sum bound over candidate permutation tuples.
+
+    Returns (value, witness tuple of permutations).  For N = 2 the
+    parallelogram law gives every tuple the value ||X1||^2 + ||X2||^2, which
+    is returned with the identity witness under either strategy.  For N >= 3
+    the bound is invariant under composing every permutation with a common
+    one, so exhaustive enumeration fixes the first permutation to the
+    identity and sweeps the remaining n! ** (N-1) tuples (capped); the
+    candidates are evaluated as arrays, chunk by chunk, and the witness is
+    the first maximum in search order.
+
+    ``moduli`` holds N vectors of one length n, or is a stack (T, N, n) of
+    such families.  A stack gives a (T,) array of values and a list of T
+    witnesses: the N = 2 value is computed for the whole stack at once, and
+    an N >= 3 search runs point by point.
+    """
+    try:
+        X = np.asarray(moduli, dtype=float)
+    except ValueError as exc:
+        raise LengthMismatch("modulus vectors must share one length") from exc
+    if X.ndim not in (2, 3):
+        raise LengthMismatch("modulus vectors must share one length")
+    N, n = X.shape[-2:]
+    if N < 2:
+        raise DimensionMismatch("sum bound needs at least 2 observables")
+    if N == 2:
+        identity = tuple(range(n))
+        value = np.sum(X[..., 0, :] ** 2, axis=-1) + np.sum(X[..., 1, :] ** 2, axis=-1)
+        if X.ndim == 2:
+            return float(value), [identity, identity]
+        return value, [[identity, identity] for _ in range(len(X))]
+    if X.ndim == 2:
+        return _best_tuple(X, strategy)
+    values = np.empty(len(X))
+    witnesses = []
+    for t, family in enumerate(X):
+        try:
+            values[t], witness = _best_tuple(family, strategy)
+        except SkewboundsError as exc:
+            exc.row = t
+            raise
+        witnesses.append(witness)
+    return values, witnesses
+
+
+@functools.cache
+def _pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs i < j of N observables, read-only."""
+    i, j = np.triu_indices(N, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
 def sum_bound_norm(K) -> float:
     """The matrix-norm baseline bound from the correlation matrix K of the family.
 
     max over x in {0,1} of (1/(2N-2)) [ (2/(N(N-1)))
     (sum_{i<j} sqrt(I(A_i + (-1)^x A_j)))^2 + sum_{i<j} I(A_i + (-1)^(x+1) A_j) ],
     with I(A_i + s A_j) = K_ii + K_jj + 2 s Re K_ij, clamped at 0 against
-    rounding.  For N = 2 both signs give K_00 + K_11.
+    rounding.  For N = 2 both signs give K_00 + K_11.  A stack K (T, N, N)
+    gives a (T,) array.
     """
     K = np.asarray(K)
-    N = len(K)
+    N = K.shape[-1]
     if N < 2:
         raise DimensionMismatch("sum bound needs at least 2 observables")
-    i, j = np.triu_indices(N, 1)
-    diag = K.real.diagonal()
-    cross = 2.0 * K.real[i, j]
-    plus = np.maximum(diag[i] + diag[j] + cross, 0.0)
-    minus = np.maximum(diag[i] + diag[j] - cross, 0.0)
+    i, j = _pairs(N)
+    diag = K.real.diagonal(axis1=-2, axis2=-1)
+    cross = 2.0 * K.real[..., i, j]
+    plus = np.maximum(diag[..., i] + diag[..., j] + cross, 0.0)
+    minus = np.maximum(diag[..., i] + diag[..., j] - cross, 0.0)
     pair_weight = 2.0 / (N * (N - 1))
-    values = [
-        (pair_weight * np.sum(np.sqrt(root)) ** 2 + np.sum(lin)) / (2.0 * N - 2.0)
+    first, second = (
+        (pair_weight * np.sum(np.sqrt(root), axis=-1) ** 2 + np.sum(lin, axis=-1))
+        / (2.0 * N - 2.0)
         for root, lin in ((plus, minus), (minus, plus))
-    ]
-    return float(max(values))
+    )
+    # the first of the two unless the second is larger, as max() picks
+    return _value(np.where(second > first, second, first))
 
 
 @dataclass(frozen=True)
 class ProductChain:
-    """All product-form bounds for one (rho, A, B, metric) instance."""
+    """All product-form bounds for one (rho, A, B, metric) instance, or a stack of T.
 
-    product: float
-    cauchy: float
+    product and cauchy are floats, or (T,) arrays; I_seq is (n,) or (T, n);
+    S_table is the flat table of table_Spq, (1 + n(n-1)/2,) or (T, ...).
+    """
+
+    product: float | np.ndarray
+    cauchy: float | np.ndarray
     I_seq: np.ndarray
-    S_table: dict[tuple[int, int], float] = field(repr=False)
+    S_table: np.ndarray = field(repr=False)
 
 
 def product_and_cauchy(K) -> tuple[float, float]:
-    """I(A) I(B) = K_00 K_11 and the Cauchy-Schwarz bound |K_01|^2 of (A, B)."""
-    return float(K[0, 0].real * K[1, 1].real), float(abs(K[0, 1]) ** 2)
+    """I(A) I(B) = K_00 K_11 and the Cauchy-Schwarz bound |K_01|^2 of (A, B).
+
+    For a stack K (T, 2, 2), two (T,) arrays.
+    """
+    K = np.asarray(K)
+    return (
+        _value(K[..., 0, 0].real * K[..., 1, 1].real),
+        _value(np.abs(K[..., 0, 1]) ** 2),
+    )
 
 
 def product_chain(K, x, y) -> ProductChain:
     """Product, Cauchy-Schwarz bound, and both refinement chains of (A, B).
 
     K is the 2 x 2 correlation matrix of (A, B); x and y are their modulus
-    vectors.
+    vectors.  Stacks K (T, 2, 2), x and y (T, n) give a stacked chain.
     """
     product, cauchy = product_and_cauchy(K)
     return ProductChain(
@@ -312,68 +383,101 @@ def product_chain(K, x, y) -> ProductChain:
     )
 
 
-def check_cauchy(product: float, cauchy: float, tol: float = 1e-9) -> None:
+def _scale(product) -> np.ndarray:
+    """max(1, |product|) per point; a NaN product gives 1, as Python's max does."""
+    return np.fmax(1.0, np.abs(product))
+
+
+def check_cauchy(product, cauchy, tol: float = 1e-9) -> None:
     """Assert the Cauchy-Schwarz bound does not exceed the product.
 
-    The tolerance scales with max(1, |product|).
+    The tolerance scales with max(1, |product|).  Arrays are checked point
+    by point.
     """
-    if cauchy > product + tol * max(1.0, abs(product)):
-        raise InvariantViolation(f"cauchy {cauchy!r} exceeds product {product!r}")
+    product, cauchy = np.atleast_1d(product), np.atleast_1d(cauchy)
+    raise_first(
+        [(cauchy > product + tol * _scale(product),
+          lambda t: InvariantViolation(
+              f"cauchy {float(cauchy[t])!r} exceeds product {float(product[t])!r}"))]
+    )
 
 
 def check_product_chain(pc: ProductChain, tol: float = 1e-9) -> None:
     """Assert every ordering relation of the chains; raise InvariantViolation.
 
     Both tolerances scale with max(1, |product|): absolute at unit scale,
-    relative for large observables.
+    relative for large observables.  A stacked chain is checked point by
+    point, and the first failing point is reported.
     """
-    n = len(pc.I_seq)
-    scale = max(1.0, abs(pc.product))
+    product = np.atleast_1d(pc.product)[:, None]
+    cauchy = np.atleast_1d(pc.cauchy)[:, None]
+    I = np.atleast_2d(pc.I_seq)
+    n = I.shape[1]
+    # one row per point: I_1 .. I_n, then the S table from S_10 on
+    IS = np.concatenate([I, np.atleast_2d(pc.S_table)], axis=1)
+    scale = _scale(product)
     eq_tol = 1e-10 * scale
     tol = tol * scale
-    if abs(pc.I_seq[0] - pc.product) > max(eq_tol, tol):
-        raise InvariantViolation(
-            f"I_1 = {pc.I_seq[0]!r} differs from product {pc.product!r}"
-        )
-    if abs(pc.S_table[(1, 0)] - pc.product) > max(eq_tol, tol):
-        raise InvariantViolation("S_10 differs from product")
-    for k in range(1, n):
-        if pc.I_seq[k] > pc.I_seq[k - 1] + eq_tol:
-            raise InvariantViolation(f"I chain increases at k = {k + 1}")
-    keys = spq_order(n)
-    for a, b in zip(keys, keys[1:]):
-        if pc.S_table[b] > pc.S_table[a] + eq_tol:
-            raise InvariantViolation(f"S chain increases at {b}")
-    for p in range(2, n + 1):
-        if abs(pc.S_table[(p, p - 1)] - pc.I_seq[p - 1]) > eq_tol:
-            raise InvariantViolation(f"S_{{{p},{p - 1}}} != I_{p}")
-    lo = pc.cauchy - tol
-    hi = pc.product + tol
-    for k in range(n):
-        if not (lo <= pc.I_seq[k] <= hi):
-            raise InvariantViolation(f"I_{k + 1} outside [cauchy, product]")
-    for key, val in pc.S_table.items():
-        if not (lo <= val <= hi):
-            raise InvariantViolation(f"S_{key} outside [cauchy, product]")
+    head = np.abs(IS[:, : n + 1 : n] - product) > np.maximum(eq_tol, tol)  # I_1, S_10
+    # I_{k+1} > I_k and each S after its predecessor, but not S_10 after I_n
+    up = IS[:, 1:] > IS[:, :-1] + eq_tol
+    up[:, n - 1] = False
+    off = np.abs(IS[:, n:][:, _spq_index(n)[2]] - IS[:, 1:n]) > eq_tol
+    out = ~((cauchy - tol <= IS) & (IS <= product + tol))
+
+    def first(bad, t):
+        return int(bad[t].argmax())
+
+    def increase(t):
+        k = first(up, t)
+        if k < n - 1:
+            return InvariantViolation(f"I chain increases at k = {k + 2}")
+        return InvariantViolation(f"S chain increases at {spq_order(n)[k + 1 - n]}")
+
+    def outside(t):
+        k = first(out, t)
+        if k < n:
+            return InvariantViolation(f"I_{k + 1} outside [cauchy, product]")
+        return InvariantViolation(f"S_{spq_order(n)[k - n]} outside [cauchy, product]")
+
+    raise_first(
+        [
+            (head[:, 0], lambda t: InvariantViolation(
+                f"I_1 = {float(IS[t, 0])!r} differs from product {float(product[t, 0])!r}")),
+            (head[:, 1], lambda t: InvariantViolation("S_10 differs from product")),
+            (up, increase),
+            (off, lambda t: InvariantViolation(
+                f"S_{{{first(off, t) + 2},{first(off, t) + 1}}} != I_{first(off, t) + 2}")),
+            (out, outside),
+        ]
+    )
 
 
 @dataclass(frozen=True)
 class SumBoundReport:
-    """Sum of skew informations with both lower bounds and the witness."""
+    """Sum of skew informations with both lower bounds and the witness.
 
-    sum_value: float
-    parallelogram: float
-    witness_perms: list[tuple[int, ...]]
-    norm_bound: float
+    For a stack of T points the numbers are (T,) arrays and witness_perms
+    holds one witness per point.
+    """
+
+    sum_value: float | np.ndarray
+    parallelogram: float | np.ndarray
+    witness_perms: list
+    norm_bound: float | np.ndarray
 
 
 def sum_bound_report(
     K, moduli, strategy: SearchStrategy = SearchStrategy()
 ) -> SumBoundReport:
-    """The sum-form bounds of a family from its correlation matrix and moduli."""
+    """The sum-form bounds of a family from its correlation matrix and moduli.
+
+    A stack, K (T, N, N) and moduli (T, N, n), gives (T,) arrays and one
+    witness per point.
+    """
     para, witness = sum_bound_parallelogram(moduli, strategy)
     return SumBoundReport(
-        sum_value=float(np.trace(K).real),
+        sum_value=_value(np.trace(K, axis1=-2, axis2=-1).real),
         parallelogram=para,
         witness_perms=witness,
         norm_bound=sum_bound_norm(K),
@@ -384,14 +488,18 @@ def check_sum_report(report: SumBoundReport, tol: float = 1e-9) -> None:
     """Assert the sum dominates both of its lower bounds.
 
     The tolerance scales with max(1, sum): absolute at unit scale, relative
-    for large observables.
+    for large observables.  A stacked report is checked point by point.
     """
-    tol = tol * max(1.0, abs(report.sum_value))
-    if report.sum_value < report.parallelogram - tol:
-        raise InvariantViolation(
-            f"sum {report.sum_value!r} below parallelogram bound {report.parallelogram!r}"
-        )
-    if report.sum_value < report.norm_bound - tol:
-        raise InvariantViolation(
-            f"sum {report.sum_value!r} below norm bound {report.norm_bound!r}"
-        )
+    total = np.atleast_1d(report.sum_value)
+    para, norm = np.atleast_1d(report.parallelogram), np.atleast_1d(report.norm_bound)
+    tol = tol * _scale(total)
+    raise_first(
+        [
+            (total < para - tol,
+             lambda t: InvariantViolation(
+                 f"sum {float(total[t])!r} below parallelogram bound {float(para[t])!r}")),
+            (total < norm - tol,
+             lambda t: InvariantViolation(
+                 f"sum {float(total[t])!r} below norm bound {float(norm[t])!r}")),
+        ]
+    )

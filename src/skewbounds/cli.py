@@ -32,6 +32,7 @@ from .errors import (
     ParseError,
     SkewboundsError,
     ValidationError,
+    raise_first,
 )
 from .loo import expand, gram_matrix, loo_basis, modulus_vector
 from .metrics import parse_metric
@@ -57,76 +58,134 @@ _EXAMPLE2_INTERMEDIATES = {
 }
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
+# Points evaluated together in one block of a sweep.  A block of T points at
+# dimension d holds T d^4 entries of stacked Gram matrices, and this caps
+# that count, so a sweep's working arrays do not grow with its steps.
+_BLOCK_ENTRIES = 1 << 16
 
 
-def _point_row(scenario: Scenario, theta: float, strategy: SearchStrategy) -> dict:
-    """Evaluate all non-sweep tasks at one placeholder value.
+@functools.lru_cache(maxsize=256)
+def _plan(tasks: tuple, n: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple]:
+    """What evaluating the non-sweep tasks at one point takes: (names, header, steps).
 
-    One correlation matrix K covers every observable the tasks name; the
-    Gram factor and the modulus vectors are built only for chain and sum
-    tasks, which are the ones that need them.
+    names lists the observables the tasks name, once each; header is the CSV
+    header, theta first; steps holds, per task, (task, the positions of its
+    observables in names, its columns in the header).  n is the length of a
+    modulus vector.  A later task that writes a column an earlier one wrote
+    overwrites it in place.
     """
-    rho = scenario.build_state(theta)
-    m = scenario.metric
-    tasks = [t for t in scenario.tasks if not isinstance(t, SweepTask)]
-    names = list(dict.fromkeys(name for t in tasks for name in t.names))
-    index = {name: i for i, name in enumerate(names)}
-    row: dict[str, float] = {"theta": theta}
-    if not names:
-        return row
-    observables = [scenario.observables[name] for name in names]
-    K = correlation_matrix(rho, observables, m)
-    if any(isinstance(t, SumTask) or t.kind == "chain" for t in tasks):
-        basis = loo_basis(rho.dim)
-        moduli = modulus_vector(
-            gram_matrix(rho, basis, m), expand(observables, basis)
-        )
+    tasks = [t for t in tasks if not isinstance(t, SweepTask)]
+    names = tuple(dict.fromkeys(name for t in tasks for name in t.names))
+    columns = {"theta": 0}
+    steps = []
     for task in tasks:
-        idx = [index[name] for name in task.names]
-        K_task = K[np.ix_(idx, idx)]
         if isinstance(task, SumTask):
-            report = sum_bound_report(K_task, moduli[idx], strategy=strategy)
+            keys = ("sum", "LB_thm3", "LB_norm")
+        elif task.kind == "product":
+            keys = ("product", "cauchy")
+        else:
+            keys = (
+                ("product", "cauchy")
+                + tuple(f"I_{k}" for k in range(1, n + 1))
+                + tuple(f"S_{p}_{q}" for p, q in spq_order(n)[1:])
+            )
+        idx = [names.index(name) for name in task.names]
+        cols = np.array([columns.setdefault(key, len(columns)) for key in keys])
+        cols.setflags(write=False)
+        steps.append((task, idx, cols))
+    return names, tuple(columns), tuple(steps)
+
+
+def _compute_rows(
+    scenario: Scenario, thetas: np.ndarray, strategy: SearchStrategy
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """Evaluate all non-sweep tasks at each placeholder value: (header, (T, ncols) rows).
+
+    One stacked correlation matrix K covers every observable the tasks name;
+    the Gram factor and the modulus vectors are built only for chain and sum
+    tasks, which are the ones that need them.  Each stage raises the error of
+    the first point that fails it, with ``row`` set.
+    """
+    n = scenario.dim**2
+    names, header, steps = _plan(scenario.tasks, n)
+    rho = scenario.build_state(thetas)
+    m = scenario.metric
+    rows = np.empty((len(thetas), len(header)))
+    rows[:, 0] = thetas
+    if names:
+        observables = [scenario.observables[name] for name in names]
+        K = correlation_matrix(rho, observables, m)
+        if any(isinstance(task, SumTask) or task.kind == "chain" for task, _, _ in steps):
+            basis = loo_basis(rho.dim)
+            moduli = modulus_vector(
+                gram_matrix(rho, basis, m), expand(np.array(observables), basis)
+            )
+    for task, idx, cols in steps:
+        K_task = K[:, idx][:, :, idx]
+        if isinstance(task, SumTask):
+            report = sum_bound_report(K_task, moduli[:, idx], strategy=strategy)
             check_sum_report(report)
-            row["sum"] = report.sum_value
-            row["LB_thm3"] = report.parallelogram
-            row["LB_norm"] = report.norm_bound
+            rows[:, cols[0]] = report.sum_value
+            rows[:, cols[1]] = report.parallelogram
+            rows[:, cols[2]] = report.norm_bound
         elif task.kind == "product":
             product, cauchy = product_and_cauchy(K_task)
             check_cauchy(product, cauchy)
-            row["product"] = product
-            row["cauchy"] = cauchy
+            rows[:, cols[0]] = product
+            rows[:, cols[1]] = cauchy
         else:
-            pc = product_chain(K_task, moduli[idx[0]], moduli[idx[1]])
+            pc = product_chain(K_task, *moduli[:, idx].swapaxes(0, 1))
             check_product_chain(pc)
-            row["product"] = pc.product
-            row["cauchy"] = pc.cauchy
-            for k, val in enumerate(pc.I_seq, start=1):
-                row[f"I_{k}"] = val
-            for p, q in spq_order(len(pc.I_seq))[1:]:
-                row[f"S_{p}_{q}"] = pc.S_table[(p, q)]
-    for key, val in row.items():
-        if not math.isfinite(val):
-            raise InvariantViolation(f"non-finite value in column {key}")
-    return row
+            rows[:, cols[0]] = pc.product
+            rows[:, cols[1]] = pc.cauchy
+            rows[:, cols[2 : 2 + n]] = pc.I_seq
+            rows[:, cols[2 + n :]] = pc.S_table[:, 1:]
+    bad = ~np.isfinite(rows)
+    raise_first(
+        [(bad, lambda t: InvariantViolation(
+            f"non-finite value in column {header[int(bad[t].argmax())]}"))]
+    )
+    return header, rows
 
 
-def _emit_csv(rows: list[dict], out) -> None:
-    if not rows:
-        return
-    header = list(rows[0].keys())
+def _evaluate(
+    scenario: Scenario, thetas: np.ndarray, strategy: SearchStrategy
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """(header, (T, ncols) rows) of a block of points, or the error of its first failing row.
+
+    A stage reports the first point that fails it, but an earlier point may
+    fail only at a later stage.  So when a point other than the first fails,
+    the points before it are evaluated again on their own: an error there
+    takes precedence, and otherwise the first error stands.
+    """
+    try:
+        return _compute_rows(scenario, thetas, strategy)
+    except SkewboundsError as exc:
+        if exc.row:
+            _evaluate(scenario, thetas[: exc.row], strategy)
+        raise
+
+
+def _format_rows(rows: np.ndarray) -> str:
+    """CSV lines of the rows, each value as format(v, ".12g") writes it."""
+    line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+    return "".join(line % tuple(row) for row in rows.tolist())
+
+
+def _write_csv(header: tuple[str, ...], chunks, out) -> None:
+    """The header line, then the formatted rows of each block in turn."""
     out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(row[k]) for k in header) + "\n")
+    out.writelines(chunks)
 
 
 def run_compute(scenario: Scenario, strategy: SearchStrategy, out) -> None:
     theta = scenario.theta if scenario.theta is not None else 0.0
-    _emit_csv([_point_row(scenario, theta, strategy)], out)
+    header, rows = _evaluate(scenario, np.array([theta]), strategy)
+    _write_csv(header, [_format_rows(rows)], out)
 
 
 def run_sweep(scenario: Scenario, strategy: SearchStrategy, out) -> None:
+    """Evaluate the sweep grid block by block; write the CSV once every block succeeds."""
     sweeps = [t for t in scenario.tasks if isinstance(t, SweepTask)]
     if not sweeps:
         raise ValidationError("scenario has no sweep task")
@@ -136,13 +195,16 @@ def run_sweep(scenario: Scenario, strategy: SearchStrategy, out) -> None:
             f"sweep parameter {sweep.param!r} does not appear in the state spec"
         )
     grid = np.linspace(sweep.lo, sweep.hi, sweep.steps)
-    rows = []
-    for i, theta in enumerate(grid):
+    block = max(1, _BLOCK_ENTRIES // scenario.dim**4)
+    chunks = []
+    for start in range(0, len(grid), block):
         try:
-            rows.append(_point_row(scenario, float(theta), strategy))
+            header, rows = _evaluate(scenario, grid[start : start + block], strategy)
         except InvariantViolation as exc:
-            raise InvariantViolation(f"row {i} (theta={theta:.6g}): {exc}") from exc
-    _emit_csv(rows, out)
+            i = start + (exc.row or 0)
+            raise InvariantViolation(f"row {i} (theta={grid[i]:.6g}): {exc}") from exc
+        chunks.append(_format_rows(rows))
+    _write_csv(header, chunks, out)
 
 
 def _load_example(n: int) -> Scenario:
@@ -159,8 +221,9 @@ def run_reproduce(example_id: int, strategy: SearchStrategy, out, err) -> None:
         run_sweep(scenario, strategy, out)
         return
     # example 2: single-point qutrit report at theta = pi/4
-    row = _point_row(scenario, math.pi / 4, strategy)
-    _emit_csv([row], out)
+    header, rows = _evaluate(scenario, np.array([math.pi / 4]), strategy)
+    _write_csv(header, [_format_rows(rows)], out)
+    row = dict(zip(header, rows[0].tolist()))
     err.write("built-in example 2 (qutrit, theta = pi/4):\n")
     for label, ref in _EXAMPLE2_ENDPOINTS.items():
         got = row[label]

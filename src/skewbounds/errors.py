@@ -2,7 +2,14 @@
 
 
 class SkewboundsError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Functions that evaluate a stack of points set ``row`` to the index of the
+    point an error belongs to; it stays None for an error that concerns every
+    point alike.
+    """
+
+    row: int | None = None
 
 
 class NotHermitian(SkewboundsError):
@@ -43,3 +50,28 @@ class InvariantViolation(SkewboundsError):
 
 class InternalConsistencyError(SkewboundsError):
     """An internal self-check failed (e.g. imaginary residue on a real quantity)."""
+
+
+def raise_first(checks) -> None:
+    """Raise the error of the first failing point of a stack, if any fails.
+
+    ``checks`` holds (bad, make) pairs in check order: ``bad`` is a numpy
+    boolean array whose first axis runs over the points, True where the
+    check fails (a point fails if any of its entries does), and
+    ``make(row)`` builds that point's exception.  The point reported is the
+    first, in stack order, that fails any check; its error is that of the
+    first check it fails.  The exception's ``row`` is set to that point.
+    """
+    first = None
+    for bad, make in checks:
+        if bad.any():
+            if bad.ndim > 1:
+                bad = bad.reshape(len(bad), -1).any(axis=1)
+            row = int(bad.argmax())
+            if first is None or row < first[0]:
+                first = (row, make)
+    if first is not None:
+        row, make = first
+        exc = make(row)
+        exc.row = row
+        raise exc

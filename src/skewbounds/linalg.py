@@ -15,6 +15,7 @@ from .errors import (
     ConvergenceFailure,
     NotHermitian,
     ValidationError,
+    raise_first,
 )
 
 # Max-entry tolerances for Hermiticity/trace/unitarity checks and for
@@ -56,22 +57,13 @@ def as_observable(M) -> np.ndarray:
     return A
 
 
-def _canonicalize_eig(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fix eigenvector phases and order degenerate columns deterministically.
+def _sort_degenerate(w: np.ndarray, V: np.ndarray, scale: float) -> None:
+    """Sort the columns of each (near-)degenerate eigenvalue group of one point, in place.
 
-    Each column is rotated so its largest-magnitude entry is real positive;
-    columns within a (near-)degenerate eigenvalue group are then sorted by
-    lexicographic comparison of their (real, imag) entry sequences.
+    Columns within a group are ordered by lexicographic comparison of their
+    (real, imag) entry sequences.
     """
-    V = V.copy()
     d = V.shape[0]
-    for j in range(d):
-        col = V[:, j]
-        k = int(np.argmax(np.abs(col)))
-        phase = col[k] / abs(col[k])
-        V[:, j] = col / phase
-    # sort within degenerate groups
-    scale = max(1.0, float(np.max(np.abs(w))))
     i = 0
     while i < d:
         j = i + 1
@@ -85,7 +77,28 @@ def _canonicalize_eig(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndar
             order = sorted(range(j - i), key=lambda c: keys[c])
             V[:, i:j] = V[:, [i + c for c in order]]
         i = j
-    return w, V
+
+
+def _canonicalize_eig(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fix eigenvector phases and order degenerate columns deterministically.
+
+    Works on one decomposition or a stack of them, w (..., d) and V (..., d, d).
+    Each column is rotated so its largest-magnitude entry is real positive;
+    columns within a (near-)degenerate eigenvalue group are then sorted by
+    lexicographic comparison of their (real, imag) entry sequences.  The
+    sort runs only for the points where two adjacent eigenvalues are that
+    close, which every pure state with d >= 3 has.
+    """
+    d = w.shape[-1]
+    Vs, ws = V.reshape(-1, d, d), w.reshape(-1, d)
+    top = Vs[np.arange(len(Vs))[:, None], np.abs(Vs).argmax(axis=1), np.arange(d)]
+    # hypot rounds as the scalar abs does; np.abs of a complex array may not
+    Vs = Vs / (top / np.hypot(top.real, top.imag))[:, None, :]
+    scale = np.maximum(1.0, np.abs(ws).max(axis=1))
+    close = np.abs(ws[:, 1:] - ws[:, :-1]) <= 1e-12 * scale[:, None]
+    for t in np.flatnonzero(close.any(axis=1)):
+        _sort_degenerate(ws[t], Vs[t], float(scale[t]))
+    return w, Vs.reshape(V.shape)
 
 
 def eig_hermitian(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +123,9 @@ class DensityMatrix:
     """A validated quantum state: PSD Hermitian, unit trace.
 
     Carries its eigendecomposition (eigenvalues ascending, clamped to [0, 1]
-    and renormalized; eigenvector columns unitary).
+    and renormalized; eigenvector columns unitary).  A stack of T states
+    keeps the same fields with a leading axis: matrix and eigenvectors
+    (T, d, d), eigenvalues (T, d).
     """
 
     matrix: np.ndarray
@@ -119,55 +134,102 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @classmethod
     def from_matrix(cls, M) -> "DensityMatrix":
-        A = as_matrix(M)
-        if not is_hermitian(A):
-            raise ValidationError("density matrix is not Hermitian")
-        tr = complex(np.trace(A))
-        if abs(tr - 1.0) > TOL_HERM:
-            raise ValidationError(f"density matrix trace {tr} is not 1")
-        w, V = eig_hermitian(A)
-        if np.min(w) < -TOL_PSD:
-            raise ValidationError(
-                f"density matrix has negative eigenvalue {np.min(w):.3e}"
-            )
-        w = w.copy()
+        """Validate a state (d, d), or a stack of states (T, d, d).
+
+        A stack is checked with array reductions and diagonalized by one
+        stacked eigensolver call.  The finite, Hermitian and trace checks
+        report the first point that fails any of them, with the error of the
+        first check it fails and ``row`` set to its index; the eigenvalue
+        check runs once every point passes those.  So a point that fails
+        only the eigenvalue check can hide behind a later point that fails
+        an earlier check: callers that need the first invalid point re-check
+        the points before the one reported, as the CLI does.
+        """
+        A = np.array(M, dtype=complex)
+        if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2] or A.shape[-1] < 1:
+            raise ValidationError(f"expected a square matrix, got shape {A.shape}")
+        stack = A.reshape(-1, *A.shape[-2:])
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            # zeros in place of the rows that fail first on finiteness
+            stack = np.where(finite[:, None, None], stack, 0.0)
+        dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+        tr = stack.trace(axis1=1, axis2=2)
+        raise_first(
+            [
+                (~finite, lambda t: ValidationError("matrix entries must be finite")),
+                (~(dev <= TOL_HERM * scale),
+                 lambda t: ValidationError("density matrix is not Hermitian")),
+                (np.abs(tr - 1.0) > TOL_HERM,
+                 lambda t: ValidationError(f"density matrix trace {complex(tr[t])} is not 1")),
+            ]
+        )
+        try:
+            w, V = np.linalg.eigh(stack)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(str(exc)) from exc
+        w, V = _canonicalize_eig(w, V)
+        low = w.min(axis=1)
+        raise_first(
+            [(low < -TOL_PSD,
+              lambda t: ValidationError(f"density matrix has negative eigenvalue {low[t]:.3e}"))]
+        )
         w[np.abs(w) < TOL_PSD] = 0.0
-        w = np.clip(w, 0.0, 1.0)
-        w = w / w.sum()
-        mat = (V * w) @ V.conj().T
+        w = w.clip(0.0, 1.0)
+        w /= w.sum(axis=1, keepdims=True)
+        mat = (V * w[:, None, :]) @ V.conj().swapaxes(1, 2)
+        if A.ndim == 2:
+            mat, w, V = mat[0], w[0], V[0]
         for a in (mat, w, V):
             a.setflags(write=False)
         return cls(matrix=mat, eigenvalues=w, eigenvectors=V)
 
     @classmethod
     def from_bloch(cls, r) -> "DensityMatrix":
-        """Qubit state (I + r.sigma)/2 from a real Bloch vector, |r| <= 1."""
+        """Qubit state (I + r.sigma)/2 from a real Bloch vector, |r| <= 1.
+
+        ``r`` may be one vector (3,) or a stack (T, 3).
+        """
         r = np.asarray(r, dtype=float)
-        if r.shape != (3,):
+        if r.ndim not in (1, 2) or r.shape[-1] != 3:
             raise ValidationError("Bloch vector must have 3 real components")
-        norm = float(np.linalg.norm(r))
-        if norm > 1.0 + TOL_HERM:
-            raise ValidationError(f"Bloch vector norm {norm:.6f} exceeds 1")
-        rho = 0.5 * (np.eye(2, dtype=complex) + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z)
+        norm = np.linalg.norm(r, axis=-1)
+        raise_first(
+            [(norm > 1.0 + TOL_HERM,
+              lambda t: ValidationError(
+                  f"Bloch vector norm {np.atleast_1d(norm)[t]:.6f} exceeds 1"))]
+        )
+        r = r[..., None, None]
+        rho = 0.5 * (
+            np.eye(2, dtype=complex) + r[..., 0, :, :] * PAULI_X
+            + r[..., 1, :, :] * PAULI_Y + r[..., 2, :, :] * PAULI_Z
+        )
         return cls.from_matrix(rho)
 
     @classmethod
     def from_pure(cls, amplitudes) -> "DensityMatrix":
-        """Projector onto a normalized state vector.
+        """Projector onto a normalized state vector, or a stack (T, d) of them.
 
         Amplitudes within 1e-6 of unit norm are renormalized; anything
         further off is rejected.
         """
-        v = np.asarray(amplitudes, dtype=complex).ravel()
-        if v.size < 2:
+        v = np.asarray(amplitudes, dtype=complex)
+        if v.ndim != 2:
+            v = v.ravel()
+        if v.shape[-1] < 2:
             raise ValidationError("state vector needs at least 2 amplitudes")
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-6:
-            raise ValidationError(f"state vector norm {norm:.8f} is not 1")
-        v = v / norm
-        return cls.from_matrix(np.outer(v, v.conj()))
-
+        # row-by-column products sum as np.linalg.norm does on one vector
+        re, im = v.real[..., None, :], v.imag[..., None, :]
+        norm = np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+        raise_first(
+            [(np.abs(norm - 1.0) > 1e-6,
+              lambda t: ValidationError(
+                  f"state vector norm {np.atleast_1d(norm)[t]:.8f} is not 1"))]
+        )
+        v = v / norm[..., None]
+        return cls.from_matrix(v[..., :, None] * v.conj()[..., None, :])

@@ -16,6 +16,8 @@ Bound validity is gauge-free; only the intermediate refinement values move.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
@@ -28,8 +30,14 @@ from .skewinfo import correlation_matrix
 _SQRT_CLAMP = 1e-12
 
 
+# One basis per dimension for the life of the process: it does not depend on
+# the state, and callers only read it.
+@functools.cache
 def loo_basis(d: int) -> np.ndarray:
-    """The d^2 trace-orthonormal Hermitian basis matrices, fixed order, as (d^2, d, d)."""
+    """The d^2 trace-orthonormal Hermitian basis matrices, fixed order, as (d^2, d, d).
+
+    The array is shared between calls and read-only.
+    """
     if d < 2:
         raise DomainError(f"LOO basis needs d >= 2, got {d}")
     basis = np.zeros((d * d, d, d), dtype=complex)
@@ -45,6 +53,7 @@ def loo_basis(d: int) -> np.ndarray:
         basis[mu, range(k + 1), range(k + 1)] = diag / np.sqrt(k * (k + 1))
         mu += 1
     basis[mu] = np.eye(d) / np.sqrt(d)
+    basis.setflags(write=False)
     return basis
 
 
@@ -66,39 +75,56 @@ def cholesky_psd(gamma: np.ndarray, clamp: float = _SQRT_CLAMP) -> np.ndarray:
     allowed: whenever a pivot falls at or below clamp (relative to the
     largest diagonal entry) the whole row is left zero and elimination
     continues, so the result has exactly rank(gamma) nonzero rows.
+
+    ``gamma`` may be one matrix (n, n) or a stack (T, n, n); the row loop
+    runs once for the whole stack, each row computed for every matrix at once.
     """
-    n = gamma.shape[0]
-    R = np.zeros((n, n), dtype=complex)
-    scale = max(1.0, float(np.max(gamma.real.diagonal(), initial=0.0)))
+    gamma = np.asarray(gamma)
+    n = gamma.shape[-1]
+    G = gamma.reshape(-1, n, n)
+    R = np.zeros(G.shape, dtype=complex)
+    diag = G.real.diagonal(axis1=1, axis2=2)
+    floor = clamp * np.maximum(1.0, diag.max(axis=1, initial=0.0))
     for i in range(n):
-        pivot = gamma[i, i].real - float(np.sum(np.abs(R[:i, i]) ** 2))
-        if pivot <= clamp * scale:
+        col = R[:, :i, i]
+        pivot = diag[:, i] - np.square(np.abs(col)).sum(axis=1)
+        zero = pivot <= floor
+        zeros = np.count_nonzero(zero)
+        if zeros == len(G):
             continue
-        R[i, i] = np.sqrt(pivot)
+        if zeros:
+            pivot[zero] = 1.0
+        R[:, i, i] = np.sqrt(pivot)
         if i + 1 < n:
-            R[i, i + 1 :] = (
-                gamma[i, i + 1 :] - R[:i, i].conj() @ R[:i, i + 1 :]
-            ) / R[i, i]
-    return R
+            R[:, i, i + 1 :] = (
+                G[:, i, i + 1 :] - (col.conj()[:, None, :] @ R[:, :i, i + 1 :])[:, 0]
+            ) / R[:, i, i, None]
+        if zeros:
+            R[zero, i] = 0.0
+    return R.reshape(gamma.shape)
 
 
 def gram_matrix(rho: DensityMatrix, basis: np.ndarray, m: MetricSpec) -> np.ndarray:
     """Canonical factor C of the Gram matrix Gamma = C^dag C.
 
     Gamma_{mu,nu} = Corr(Omega_mu, Omega_nu) is the correlation matrix of the
-    basis elements.
+    basis elements.  A stack of T states gives a stack of T factors.
     """
     return cholesky_psd(correlation_matrix(rho, basis, m))
 
 
 def modulus_vector(C: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Entrywise moduli |C a|, one row per coefficient vector a; sum(x**2) = I(A)."""
+    """Entrywise moduli |C a|, one row per coefficient vector a; sum(x**2) = I(A).
+
+    A stack of factors (T, n, n) gives a stack of moduli (T, N, n).
+    """
     E = np.asarray(coeffs)
-    if C.shape[1] != E.shape[-1]:
+    if C.shape[-1] != E.shape[-1]:
         raise DimensionMismatch(
-            f"factor dim {C.shape[1]} vs coefficient length {E.shape[-1]}"
+            f"factor dim {C.shape[-1]} vs coefficient length {E.shape[-1]}"
         )
-    return np.abs(C @ E.T).T
+    moduli = np.abs(C @ E.T)
+    return moduli if E.ndim == 1 else moduli.swapaxes(-1, -2)
 
 
 __all__ = [

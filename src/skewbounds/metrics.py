@@ -75,15 +75,18 @@ def _wyd_alpha(m: MetricSpec) -> float:
 
 
 def weight_matrix(m: MetricSpec, eigenvalues: np.ndarray) -> np.ndarray:
-    """Matrix W[i, j] = w(lam_i, lam_j) of pairwise weights for a vector of eigenvalues."""
+    """Matrix W[i, j] = w(lam_i, lam_j) of pairwise weights for a vector of eigenvalues.
+
+    A stack of eigenvalue vectors (T, d) gives a stack of weight matrices (T, d, d).
+    """
     lam = np.asarray(eigenvalues, dtype=float)
     if m.kind == KIND_SLD:
-        s = lam[:, None] + lam[None, :]
-        diff2 = (lam[:, None] - lam[None, :]) ** 2
+        s = lam[..., :, None] + lam[..., None, :]
+        diff2 = (lam[..., :, None] - lam[..., None, :]) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             W = np.where(s > 0, diff2 / (2.0 * np.where(s > 0, s, 1.0)), 0.0)
         return W
     a = _wyd_alpha(m)
     pa = lam**a
     pb = lam ** (1 - a)
-    return 0.5 * (pa[:, None] - pa[None, :]) * (pb[:, None] - pb[None, :])
+    return 0.5 * (pa[..., :, None] - pa[..., None, :]) * (pb[..., :, None] - pb[..., None, :])

@@ -178,27 +178,51 @@ class Scenario:
     def uses_theta(self) -> bool:
         return _uses_theta(self.state_spec)
 
-    def build_state(self, theta: float | None = None) -> DensityMatrix:
-        """Bind the placeholder and validate the state."""
-        if theta is None:
-            theta = self.theta
+    @property
+    def dim(self) -> int:
+        """Hilbert-space dimension of the state."""
+        return 2 if self.state_kind == "bloch" else len(self.state_spec)
+
+    def _entries(self, theta: float | None):
+        """The state's numbers at one placeholder value, nested as in the spec."""
         if self.state_kind == "bloch":
-            r = [eval_scalar(v, theta) for v in self.state_spec]
-            return DensityMatrix.from_bloch(r)
+            return [eval_scalar(v, theta) for v in self.state_spec]
         if self.state_kind == "pure":
-            amps = [
+            return [
                 complex(eval_scalar(re, theta), eval_scalar(im, theta))
                 for re, im in self.state_spec
             ]
-            return DensityMatrix.from_pure(amps)
-        rows = [
-            [
-                complex(eval_scalar(re, theta), eval_scalar(im, theta))
-                for re, im in row
-            ]
+        return [
+            [complex(eval_scalar(re, theta), eval_scalar(im, theta)) for re, im in row]
             for row in self.state_spec
         ]
-        return DensityMatrix.from_matrix(rows)
+
+    def build_state(self, theta=None) -> DensityMatrix:
+        """Bind the placeholder and validate the state.
+
+        ``theta`` is one value, or a 1-D array of values for a stack of
+        states, one per value; the entries are evaluated point by point and
+        validated as one stack.  An invalid point raises with ``row`` set to
+        its index.
+        """
+        if theta is None:
+            theta = self.theta
+        single = np.ndim(theta) == 0
+        entries = []
+        for t, value in enumerate([theta] if single else np.asarray(theta, float).tolist()):
+            try:
+                entries.append(self._entries(value))
+            except ValidationError as exc:
+                exc.row = t
+                raise
+        return _BUILDERS[self.state_kind](entries[0] if single else entries)
+
+
+_BUILDERS = {
+    "bloch": DensityMatrix.from_bloch,
+    "pure": DensityMatrix.from_pure,
+    "density": DensityMatrix.from_matrix,
+}
 
 
 def _complex_entry(entry, where: str):
@@ -237,10 +261,10 @@ def _parse_task(entry) -> Task:
         except (TypeError, KeyError) as exc:
             raise ParseError(f"{kind} task needs A and B: {entry!r}") from exc
     if kind == "sum":
-        try:
-            names = tuple(body["observables"])
-        except (TypeError, KeyError) as exc:
-            raise ParseError(f"sum task needs an observables list: {entry!r}") from exc
+        names = body.get("observables") if isinstance(body, dict) else None
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ParseError(f"sum task needs an observables list of names: {entry!r}")
+        names = tuple(names)
         if len(names) < 2:
             raise ParseError("sum task needs at least 2 observables")
         return SumTask(names=names)
@@ -250,6 +274,8 @@ def _parse_task(entry) -> Task:
             lo, hi, steps = float(lo), float(hi), body["steps"]
         except (TypeError, KeyError, ValueError) as exc:
             raise ParseError(f"sweep task needs param/range/steps: {entry!r}") from exc
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValidationError(f"sweep range [{lo!r}, {hi!r}] is not finite")
         # bool is an int subclass; a float counts only when it is integral
         if isinstance(steps, bool) or not (
             isinstance(steps, int) or (isinstance(steps, float) and steps.is_integer())
@@ -356,6 +382,8 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
             theta = float(theta)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{source}: theta {theta!r} is not a number") from exc
+        if not math.isfinite(theta):
+            raise ValidationError(f"{source}: theta {theta!r} is not finite")
 
     if not isinstance(obs_raw, dict):
         raise ParseError(f"{source}: observables must be a mapping of names to matrices")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, InternalConsistencyError
+from .errors import DimensionMismatch, InternalConsistencyError, raise_first
 from .linalg import DensityMatrix
 from .metrics import MetricSpec, weight_matrix
 
@@ -32,27 +32,36 @@ def correlation_matrix(
     K is Hermitian with a real nonnegative diagonal.  Each term of K_ii is
     w |A~_ij|^2 >= 0, so its imaginary part and any negative real part are
     rounding; both are checked against 1e-12 max(1, |K_ii|) and removed.
+    A stack of T states gives a stack of T matrices, (T, N, N); a residue
+    beyond the tolerance is reported for the first such state.
     """
+    d = rho.dim
     for A in observables:
-        if np.shape(A) != rho.matrix.shape:
+        if np.shape(A) != (d, d):
             raise DimensionMismatch(
-                f"observable shape {np.shape(A)} does not match state dim {rho.dim}"
+                f"observable shape {np.shape(A)} does not match state dim {d}"
             )
-    V = rho.eigenvectors
-    rotated = (V.conj().T @ np.asarray(observables) @ V).reshape(len(observables), -1)
-    W = weight_matrix(m, rho.eigenvalues)
-    K = (rotated.conj() * W.ravel()) @ rotated.T
-    diag = K.diagonal()
+    N = len(observables)
+    V = rho.eigenvectors[..., None, :, :]
+    lead = V.shape[:-3]
+    rotated = (V.conj().swapaxes(-1, -2) @ np.asarray(observables) @ V).reshape(*lead, N, d * d)
+    W = weight_matrix(m, rho.eigenvalues).reshape(*lead, 1, d * d)
+    K = (rotated.conj() * W) @ rotated.swapaxes(-1, -2)
+    diag = K.reshape(-1, N * N)[:, :: N + 1]
     tol = _DIAG_TOL * np.maximum(1.0, np.abs(diag))
-    bad = np.flatnonzero((np.abs(diag.imag) > tol) | (diag.real < -tol))
-    if bad.size:
-        i = bad[0]
-        raise InternalConsistencyError(
-            f"K[{i}, {i}] = {diag[i]:.6e} is not a nonnegative real beyond "
-            f"rounding (tolerance {tol[i]:.3e})"
+    bad = (np.abs(diag.imag) > tol) | (diag.real < -tol)
+
+    def residue(t: int) -> InternalConsistencyError:
+        i = int(bad[t].argmax())
+        return InternalConsistencyError(
+            f"K[{i}, {i}] = {diag[t, i]:.6e} is not a nonnegative real beyond "
+            f"rounding (tolerance {tol[t, i]:.3e})"
         )
-    K = 0.5 * (K + K.conj().T)
-    np.fill_diagonal(K, np.maximum(K.real.diagonal(), 0.0))
+
+    raise_first([(bad, residue)])
+    K = 0.5 * (K + K.conj().swapaxes(-1, -2))
+    diag = K.reshape(-1, N * N)[:, :: N + 1]
+    diag[:] = np.maximum(diag.real, 0.0)
     return K
 
 

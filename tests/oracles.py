@@ -9,6 +9,9 @@
 - The Wigner-Yanase-Dyson trace formula with its matrix powers and
   commutators, the scalar Morozova-Chentsov function and pairwise weight,
   and the consecutive-difference identities of the chains.
+- Point-at-a-time forms of the stacked kernels: the semidefinite Cholesky
+  factor, the I chain and the S table by direct summation, and the chain
+  invariant checks, each written for one point with Python loops.
 """
 
 import itertools
@@ -16,8 +19,13 @@ import math
 
 import numpy as np
 
-from skewbounds.bounds import EXHAUSTIVE_CAP, SearchStrategy, table_Spq
-from skewbounds.errors import ComplexityRefusal, DimensionMismatch, DomainError
+from skewbounds.bounds import EXHAUSTIVE_CAP, SearchStrategy, spq_order, table_Spq
+from skewbounds.errors import (
+    ComplexityRefusal,
+    DimensionMismatch,
+    DomainError,
+    InvariantViolation,
+)
 from skewbounds.linalg import DensityMatrix, eig_hermitian
 from skewbounds.metrics import KIND_SLD, KIND_WY, KIND_WYD, MetricSpec, weight_matrix
 
@@ -248,7 +256,7 @@ def spq_step_identities(x, y) -> list[tuple[str, float, float]]:
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     n = len(x)
-    S = table_Spq(x, y)
+    S = dict(zip(spq_order(n), table_Spq(x, y)))
     out = []
     out.append(
         ("S21-S10", S[(2, 1)] - S[(1, 0)], -float((x[1] * y[0] - x[0] * y[1]) ** 2))
@@ -271,3 +279,97 @@ def spq_step_identities(x, y) -> list[tuple[str, float, float]]:
             )
         )
     return out
+
+
+# -- point-at-a-time kernels -------------------------------------------------
+
+
+def loop_cholesky_psd(gamma: np.ndarray, clamp: float = 1e-12) -> np.ndarray:
+    """Upper-triangular C with C^dag C = gamma, one row at a time, for one matrix.
+
+    A pivot at or below clamp times max(1, largest diagonal entry) leaves its
+    whole row zero.
+    """
+    n = gamma.shape[0]
+    R = np.zeros((n, n), dtype=complex)
+    scale = max(1.0, float(np.max(gamma.real.diagonal(), initial=0.0)))
+    for i in range(n):
+        pivot = gamma[i, i].real - float(np.sum(np.abs(R[:i, i]) ** 2))
+        if pivot <= clamp * scale:
+            continue
+        R[i, i] = np.sqrt(pivot)
+        if i + 1 < n:
+            R[i, i + 1 :] = (
+                gamma[i, i + 1 :] - R[:i, i].conj() @ R[:i, i + 1 :]
+            ) / R[i, i]
+    return R
+
+
+def loop_chain_Ik(x, y) -> np.ndarray:
+    """The refinement chain I_1 ... I_n of one pair by running sums over k."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    n = len(x)
+    x2, y2 = x * x, y * y
+    xy = x * y
+    diag = float(np.dot(x2, y2))
+    total_cross = 0.0
+    cross_prefix = np.zeros(n + 1)
+    geo_prefix = np.zeros(n + 1)
+    for k in range(1, n):
+        total_cross += float(np.sum(x2[:k]) * y2[k] + np.sum(y2[:k]) * x2[k])
+        geo_prefix[k + 1] = geo_prefix[k] + 2.0 * float(np.sum(xy[:k]) * xy[k])
+        cross_prefix[k + 1] = total_cross
+    out = np.empty(n)
+    for k in range(1, n + 1):
+        out[k - 1] = diag + (total_cross - cross_prefix[k]) + geo_prefix[k]
+    return out
+
+
+def loop_table_Spq(x, y) -> dict[tuple[int, int], float]:
+    """The refinement table S_{pq} of one pair, keyed by (p, q), by direct summation."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    n = len(x)
+    total = float(np.sum(x * x) * np.sum(y * y))
+    Q = (np.outer(y, x) - np.outer(x, y)) ** 2
+    table = {(1, 0): total}
+    tri = 0.0
+    for p in range(2, n + 1):
+        tri += float(np.sum(Q[: p - 2, p - 2])) if p >= 3 else 0.0
+        col = np.cumsum(Q[: p - 1, p - 1])
+        for q in range(1, p):
+            table[(p, q)] = total - tri - float(col[q - 1])
+    return table
+
+
+def loop_check_product_chain(product, cauchy, I_seq, S_table, tol: float = 1e-9) -> None:
+    """Every ordering relation of one point's chains, checked in turn.
+
+    S_table is the dict of loop_table_Spq.  Raises InvariantViolation with
+    the message of the first relation that fails.
+    """
+    n = len(I_seq)
+    scale = max(1.0, abs(product))
+    eq_tol = 1e-10 * scale
+    tol = tol * scale
+    if abs(I_seq[0] - product) > max(eq_tol, tol):
+        raise InvariantViolation(f"I_1 = {float(I_seq[0])!r} differs from product {product!r}")
+    if abs(S_table[(1, 0)] - product) > max(eq_tol, tol):
+        raise InvariantViolation("S_10 differs from product")
+    for k in range(1, n):
+        if I_seq[k] > I_seq[k - 1] + eq_tol:
+            raise InvariantViolation(f"I chain increases at k = {k + 1}")
+    keys = spq_order(n)
+    for a, b in zip(keys, keys[1:]):
+        if S_table[b] > S_table[a] + eq_tol:
+            raise InvariantViolation(f"S chain increases at {b}")
+    for p in range(2, n + 1):
+        if abs(S_table[(p, p - 1)] - I_seq[p - 1]) > eq_tol:
+            raise InvariantViolation(f"S_{{{p},{p - 1}}} != I_{p}")
+    lo = cauchy - tol
+    hi = product + tol
+    for k in range(n):
+        if not (lo <= I_seq[k] <= hi):
+            raise InvariantViolation(f"I_{k + 1} outside [cauchy, product]")
+    for key, val in S_table.items():
+        if not (lo <= val <= hi):
+            raise InvariantViolation(f"S_{key} outside [cauchy, product]")

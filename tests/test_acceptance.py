@@ -60,11 +60,9 @@ def test_criterion_2_qutrit_chain_structure():
     K, (x, y) = point_arrays(QUTRIT_STATE, [QUTRIT_A, QUTRIT_B], WYD14)
     pc = product_chain(K, x, y)
     I = pc.I_seq
-    S = pc.S_table
+    S = dict(zip(spq_order(9), pc.S_table))
     assert np.all(np.diff(I) <= 1e-10)
-    keys = spq_order(9)
-    vals = [S[k] for k in keys]
-    assert np.all(np.diff(vals) <= 1e-10)
+    assert np.all(np.diff(pc.S_table) <= 1e-10)
     for p in range(2, 10):
         assert abs(S[(p, p - 1)] - I[p - 1]) <= 1e-10
     assert abs(I[0] - 1.875) <= 1e-3
@@ -95,7 +93,7 @@ def test_criterion_3_qubit_structural_equalities():
         K, (x, y) = point_arrays(rho, [QUBIT_A, QUBIT_B], WYD14)
         pc = product_chain(K, x, y)
         I = pc.I_seq
-        S = pc.S_table
+        S = dict(zip(spq_order(4), pc.S_table))
         devs = [
             abs(I[0] - I[1]),
             abs(I[0] - S[(1, 0)]),
@@ -167,7 +165,7 @@ def test_criterion_6_gauge_robust_bound_validity():
             x, y = np.abs(U @ f0), np.abs(U @ g0)
             for v in chain_Ik(x, y):
                 assert lo <= v <= hi
-            for v in table_Spq(x, y).values():
+            for v in table_Spq(x, y):
                 assert lo <= v <= hi
     _report(6, "200 random instances x 5 unitary re-gaugings stay in bounds")
 

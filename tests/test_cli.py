@@ -10,15 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import skewbounds.cli
 import skewbounds.loo
 import skewbounds.skewinfo
-from conftest import random_density, random_unitary
+from conftest import random_density, random_hermitian, random_unitary
 from skewbounds.cli import build_parser, main
 from skewbounds.metrics import parse_metric
 from skewbounds.scenario import (
     PairTask,
     Scenario,
     SumTask,
+    SweepTask,
     parse_scenario_text,
     write_scenario,
 )
@@ -161,6 +163,16 @@ class TestCompute:
         assert out.read_text().startswith("theta,product,cauchy")
 
 
+def test_row_format_matches_format_12g():
+    # one "%.12g" format per row writes what format(v, ".12g") writes per value
+    rng = np.random.default_rng(4)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -123456789012345.0]
+    rows = np.concatenate([special, rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40)])
+    rows = rows.reshape(-1, 6)
+    expected = "".join(",".join(format(v, ".12g") for v in row) + "\n" for row in rows.tolist())
+    assert skewbounds.cli._format_rows(rows) == expected
+
+
 class TestParserReuse:
     def test_second_call_matches_a_fresh_process(self, tmp_path, capsys):
         # the parser is built once per process; options of one call must not
@@ -249,7 +261,7 @@ class TestScale:
 
 
 class TestPointWork:
-    """What one evaluation point builds, counted by wrapping the builders."""
+    """What a sweep builds, counted by wrapping the builders: once per block of points."""
 
     def counting(self, monkeypatch, module, name):
         calls = []
@@ -266,16 +278,16 @@ class TestPointWork:
         assert main(["sweep", write(tmp_path, text)]) == 0
         return read_csv(capsys)[1]
 
-    def test_chain_and_sum_factor_once_per_point(self, tmp_path, capsys, monkeypatch):
+    def test_chain_and_sum_factor_once_per_block(self, tmp_path, capsys, monkeypatch):
         cholesky = self.counting(monkeypatch, skewbounds.loo, "cholesky_psd")
         weights = self.counting(monkeypatch, skewbounds.skewinfo, "weight_matrix")
         text = QUBIT_CHAIN.replace(
             "  - chain: {A: A, B: B}\n", "  - chain: {A: A, B: B}\n  - sum: {observables: [A, B]}\n"
         )
         rows = self.run_sweep(tmp_path, capsys, text)
-        assert len(rows) == 5
-        assert len(cholesky) == 5
-        assert len(weights) == 10  # K of the observables and Gamma of the basis
+        assert len(rows) == 5  # one block
+        assert len(cholesky) == 1
+        assert len(weights) == 2  # K of the observables and Gamma of the basis
 
     def test_product_task_builds_no_factor(self, tmp_path, capsys, monkeypatch):
         cholesky = self.counting(monkeypatch, skewbounds.loo, "cholesky_psd")
@@ -284,7 +296,53 @@ class TestPointWork:
         rows = self.run_sweep(tmp_path, capsys, text)
         assert len(rows) == 5
         assert cholesky == []
-        assert len(weights) == 5
+        assert len(weights) == 1
+
+
+def mixture_scenario(d, seed, tasks):
+    """rho(theta) = cos^2(theta) rho_1 + sin^2(theta) rho_2 of two seeded full-rank states."""
+    rng = np.random.default_rng(seed)
+    r1, r2 = (random_density(rng, d).matrix for _ in range(2))
+
+    def entry(a, b):
+        return f"({a!r})*cos(theta)**2 + ({b!r})*sin(theta)**2"
+
+    spec = tuple(
+        tuple(
+            (entry(float(r1[i, j].real), float(r2[i, j].real)),
+             entry(float(r1[i, j].imag), float(r2[i, j].imag)))
+            for j in range(d)
+        )
+        for i in range(d)
+    )
+    observables = {name: random_hermitian(rng, d) for name in "ABC"}
+    return Scenario("density", spec, observables, "wy", parse_metric("wy"), None, tasks)
+
+
+class TestBlocks:
+    def test_block_boundary(self, tmp_path, capsys, monkeypatch):
+        # one block and one point: two blocks, each row as a one-point compute gives it
+        d = 8
+        steps = skewbounds.cli._BLOCK_ENTRIES // d**4 + 1
+        sweep = SweepTask("theta", 0.0, 1.5, steps)
+        s = mixture_scenario(d, 3, (PairTask("chain", "A", "B"), sweep))
+        calls = []
+        original = skewbounds.loo.cholesky_psd
+        monkeypatch.setattr(
+            skewbounds.loo, "cholesky_psd", lambda g: calls.append(len(g)) or original(g)
+        )
+        assert main(["sweep", write(tmp_path, write_scenario(s))]) == 0
+        header, rows = read_csv(capsys)
+        assert calls == [steps - 1, 1]
+        assert len(rows) == steps
+        for theta, row in zip(np.linspace(0.0, 1.5, steps), rows):
+            point = dataclasses.replace(s, theta=float(theta))
+            assert main(["compute", write(tmp_path, write_scenario(point), "point.yaml")]) == 0
+            point_header, (point_row,) = read_csv(capsys)
+            assert point_header == header
+            got, want = np.array(row, dtype=float), np.array(point_row, dtype=float)
+            tol = 1e-10 * max(1.0, abs(want[header.index("product")]))
+            assert np.all(np.abs(got - want) <= tol)
 
 
 class TestExitCodes:
@@ -346,6 +404,8 @@ tasks:""",
             "range: [0.0, 3.0], steps: 2.7",
             "range: [0.0, 3.0], steps: true",
             'range: [0.0, 3.0], steps: "5"',
+            "range: [.nan, 3.0], steps: 5",
+            "range: [0.0, .inf], steps: 5",
         ],
     )
     def test_bad_sweep(self, tmp_path, capsys, sweep):
@@ -355,6 +415,53 @@ tasks:""",
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_non_finite_theta(self, tmp_path, capsys):
+        # a theta-free state: once exit 2 ("non-finite value in column
+        # theta") with a task, and exit 0 with a CSV of nan without one
+        text = "theta: .nan\n" + BLOCH + SIGMA_X
+        for tasks in ("tasks:\n  - product: {A: A, B: A}\n", "tasks: []\n"):
+            assert main(["compute", write(tmp_path, text + tasks)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "theta nan is not finite" in captured.err
+
+
+BLOCH_SWEEP = """
+state:
+  bloch: ["1.2*sin(theta)", 0.0, 0.0]
+observables:
+  A: [[0.0, 1.0], [1.0, 0.0]]
+  B: [[1.0, 0.0], [0.0, -1.0]]
+tasks:
+  - product: {A: A, B: B}
+  - sweep: {param: theta, range: [0.0, 1.5], steps: 20}
+"""
+
+
+class TestSweepErrors:
+    """A failing sweep reports its first failing row, as a row-by-row evaluation would."""
+
+    def test_first_state_outside_the_ball(self, tmp_path, capsys):
+        # rows 13 on leave the Bloch ball; row 13 has |r| = 1.2 sin(1.5 * 13/19)
+        assert main(["sweep", write(tmp_path, BLOCH_SWEEP)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Bloch vector norm 1.026476 exceeds 1\n"
+
+    def test_earlier_violation_before_later_bad_state(self, tmp_path, capsys):
+        # entries of 1e200 make K overflow from row 1 on (row 0 is the
+        # maximally mixed state, where K = 0); the bad states of rows 13 on
+        # must not hide that
+        text = BLOCH_SWEEP.replace(
+            "A: [[0.0, 1.0], [1.0, 0.0]]", "A: [[0.0, 1.0e+200], [1.0e+200, 0.0]]"
+        )
+        assert main(["sweep", write(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "invariant violation: row 1 (theta=0.0789474): non-finite value in column product\n"
+        )
 
 
 class TestReproduce:

@@ -136,6 +136,24 @@ class TestParse:
         with pytest.raises(ValidationError):
             parse_scenario_text(MINIMAL.replace('"wy"', '"fisher"'))
 
+    @pytest.mark.parametrize("theta", [".nan", ".inf", "-.inf"])
+    def test_non_finite_theta(self, theta):
+        with pytest.raises(ValidationError, match="is not finite"):
+            parse_scenario_text(f"theta: {theta}\n" + MINIMAL)
+
+    @pytest.mark.parametrize(
+        "names",
+        ["AB", "{A: 1, B: 2}", "[A, 1]", "[A, [B]]"],
+        ids=["string", "mapping", "number", "list"],
+    )
+    def test_sum_names_must_be_a_list_of_strings(self, names):
+        text = MINIMAL.replace("- chain: {A: A, B: A}", f"- sum: {{observables: {names}}}")
+        text = text.replace(
+            "observables:\n  A:", "observables:\n  B: [[1.0, 0.0], [0.0, -1.0]]\n  A:"
+        )
+        with pytest.raises(ParseError, match="observables list of names"):
+            parse_scenario_text(text)
+
     def test_unknown_observable_reference(self):
         bad = MINIMAL.replace("{A: A, B: A}", "{A: A, B: Z}")
         with pytest.raises(ParseError):

@@ -1,0 +1,124 @@
+"""Stacked kernels against the point-at-a-time references in oracles.py.
+
+A sweep evaluates its grid as stacks of points.  Each stacked kernel is fed
+the same input as its one-point reference, point by point, and must agree
+within 1e-10 max(1, |product|), the program's own equality tolerance; the
+stacked checks must report the first failing point with the reference's
+message.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_density, random_hermitian
+from oracles import (
+    loop_chain_Ik,
+    loop_check_product_chain,
+    loop_cholesky_psd,
+    loop_table_Spq,
+    pairwise_correlation,
+)
+from skewbounds.bounds import (
+    ProductChain,
+    chain_Ik,
+    check_product_chain,
+    product_chain,
+    spq_order,
+    table_Spq,
+)
+from skewbounds.errors import InvariantViolation
+from skewbounds.linalg import DensityMatrix
+from skewbounds.loo import cholesky_psd, expand, loo_basis, modulus_vector
+from skewbounds.metrics import make_metric
+from skewbounds.skewinfo import correlation_matrix
+
+
+def stacked_family(seed, d, kind):
+    """A stack of 1-4 seeded states of random rank, two observables and a metric."""
+    rng = np.random.default_rng(seed)
+    m = make_metric("wyd", 0.3) if kind == "wyd" else make_metric(kind)
+    states = [
+        random_density(rng, d, rank=int(rng.integers(1, d + 1)))
+        for _ in range(int(rng.integers(1, 5)))
+    ]
+    obs = np.array([random_hermitian(rng, d) for _ in range(2)])
+    return states, obs, m
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 5),
+    kind=st.sampled_from(["wy", "sld", "wyd"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_stacked_kernels_match_point_references(seed, d, kind):
+    states, obs, m = stacked_family(seed, d, kind)
+    stack = DensityMatrix.from_matrix(np.array([s.matrix for s in states]))
+    basis = loo_basis(d)
+    coeffs = expand(obs, basis)
+    K = correlation_matrix(stack, obs, m)
+    gamma = correlation_matrix(stack, basis, m)
+    moduli = modulus_vector(cholesky_psd(gamma), coeffs)
+    I = chain_Ik(moduli[:, 0], moduli[:, 1])
+    S = table_Spq(moduli[:, 0], moduli[:, 1])
+    for t, state in enumerate(states):
+        rho = DensityMatrix.from_matrix(state.matrix)
+        K_ref = np.array([[pairwise_correlation(rho, a, b, m) for b in obs] for a in obs])
+        tol = 1e-10 * max(1.0, abs(K_ref[0, 0].real * K_ref[1, 1].real))
+        assert np.all(np.abs(K[t] - K_ref) <= tol)
+        assert np.all(np.abs(gamma[t] - correlation_matrix(rho, basis, m)) <= 1e-10)
+        x, y = np.abs(loop_cholesky_psd(gamma[t]) @ coeffs.T).T
+        assert np.all(np.abs(moduli[t] - [x, y]) <= tol)
+        x, y = moduli[t]
+        assert np.all(np.abs(I[t] - loop_chain_Ik(x, y)) <= tol)
+        S_ref = loop_table_Spq(x, y)
+        assert np.all(np.abs(S[t] - [S_ref[key] for key in spq_order(d * d)]) <= tol)
+
+
+def violation(fn):
+    try:
+        fn()
+    except InvariantViolation as exc:
+        return exc
+    return None
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 3))
+@settings(max_examples=60, deadline=None)
+def test_stacked_check_reports_the_first_failing_point(seed, d):
+    # chains with one entry moved, on some points: the stacked check raises
+    # at the first point whose one-point check raises, with its message
+    states, obs, m = stacked_family(seed, d, "wy")
+    rng = np.random.default_rng(seed)
+    stack = DensityMatrix.from_matrix(np.array([s.matrix for s in states]))
+    basis = loo_basis(d)
+    moduli = modulus_vector(cholesky_psd(correlation_matrix(stack, basis, m)), expand(obs, basis))
+    pc = product_chain(correlation_matrix(stack, obs, m), moduli[:, 0], moduli[:, 1])
+    values = [pc.product.copy(), pc.cauchy.copy(), pc.I_seq.copy(), pc.S_table.copy()]
+    for t in range(len(states)):
+        if rng.random() < 0.5:
+            which = int(rng.integers(4))
+            target = values[which][t : t + 1] if which < 2 else values[which][t]
+            target[int(rng.integers(target.size))] += rng.choice([-1.0, 1.0]) * rng.uniform(0, 2)
+    product, cauchy, I, S = values
+    keys = spq_order(d * d)
+    expected = None
+    for t in range(len(states)):
+        table = dict(zip(keys, S[t].tolist()))
+        exc = violation(
+            lambda: loop_check_product_chain(float(product[t]), float(cauchy[t]), I[t], table)
+        )
+        if exc is not None:
+            expected = (t, str(exc))
+            break
+    exc = violation(lambda: check_product_chain(ProductChain(product, cauchy, I, S)))
+    assert (exc and (exc.row, str(exc))) == (expected or None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_single_point_and_stack_of_one_agree(n):
+    rng = np.random.default_rng(n)
+    x, y = rng.uniform(0, 2, size=(2, n))
+    assert np.array_equal(chain_Ik(x, y), chain_Ik(x[None], y[None])[0])
+    assert np.array_equal(table_Spq(x, y), table_Spq(x[None], y[None])[0])

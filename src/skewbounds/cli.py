@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import functools
 import importlib.resources
-import math
 import sys
 
 import numpy as np
@@ -34,6 +33,7 @@ from .errors import (
     ValidationError,
     raise_first,
 )
+from .linalg import DensityMatrix
 from .loo import expand, gram_matrix, loo_basis, modulus_vector
 from .metrics import parse_metric
 from .scenario import (
@@ -97,18 +97,18 @@ def _plan(tasks: tuple, n: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple
 
 
 def _compute_rows(
-    scenario: Scenario, thetas: np.ndarray, strategy: SearchStrategy
+    scenario: Scenario, thetas: np.ndarray, strategy: SearchStrategy, rho: DensityMatrix
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Evaluate all non-sweep tasks at each placeholder value: (header, (T, ncols) rows).
 
-    One stacked correlation matrix K covers every observable the tasks name;
-    the Gram factor and the modulus vectors are built only for chain and sum
-    tasks, which are the ones that need them.  Each stage raises the error of
-    the first point that fails it, with ``row`` set.
+    rho is the stack of states at the placeholder values.  One stacked
+    correlation matrix K covers every observable the tasks name; the Gram
+    factor and the modulus vectors are built only for chain and sum tasks,
+    which are the ones that need them.  Each stage raises the error of the
+    first point that fails it, with ``row`` set.
     """
     n = scenario.dim**2
     names, header, steps = _plan(scenario.tasks, n)
-    rho = scenario.build_state(thetas)
     m = scenario.metric
     rows = np.empty((len(thetas), len(header)))
     rows[:, 0] = thetas
@@ -149,17 +149,24 @@ def _compute_rows(
 
 
 def _evaluate(
-    scenario: Scenario, thetas: np.ndarray, strategy: SearchStrategy
+    scenario: Scenario,
+    thetas: np.ndarray,
+    strategy: SearchStrategy,
+    rho: DensityMatrix | None = None,
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """(header, (T, ncols) rows) of a block of points, or the error of its first failing row.
 
-    A stage reports the first point that fails it, but an earlier point may
-    fail only at a later stage.  So when a point other than the first fails,
-    the points before it are evaluated again on their own: an error there
-    takes precedence, and otherwise the first error stands.
+    rho is the stack of states at the placeholder values, built here when
+    not given.  A stage reports the first point that fails it, but an
+    earlier point may fail only at a later stage.  So when a point other
+    than the first fails, the points before it are evaluated again on their
+    own: an error there takes precedence, and otherwise the first error
+    stands.
     """
     try:
-        return _compute_rows(scenario, thetas, strategy)
+        if rho is None:
+            rho = scenario.build_state(thetas)
+        return _compute_rows(scenario, thetas, strategy, rho)
     except SkewboundsError as exc:
         if exc.row:
             _evaluate(scenario, thetas[: exc.row], strategy)
@@ -178,10 +185,15 @@ def _write_csv(header: tuple[str, ...], chunks, out) -> None:
     out.writelines(chunks)
 
 
-def run_compute(scenario: Scenario, strategy: SearchStrategy, out) -> None:
+def run_compute(scenario: Scenario, strategy: SearchStrategy, out):
+    """Write the CSV of the one point at the default placeholder value; return (header, row).
+
+    The state is the one parsing validated there, when the scenario has it.
+    """
     theta = scenario.theta if scenario.theta is not None else 0.0
-    header, rows = _evaluate(scenario, np.array([theta]), strategy)
+    header, rows = _evaluate(scenario, np.array([theta]), strategy, scenario.state)
     _write_csv(header, [_format_rows(rows)], out)
+    return header, rows[0]
 
 
 def run_sweep(scenario: Scenario, strategy: SearchStrategy, out) -> None:
@@ -194,7 +206,11 @@ def run_sweep(scenario: Scenario, strategy: SearchStrategy, out) -> None:
         raise ValidationError(
             f"sweep parameter {sweep.param!r} does not appear in the state spec"
         )
-    grid = np.linspace(sweep.lo, sweep.hi, sweep.steps)
+    try:
+        grid = np.linspace(sweep.lo, sweep.hi, sweep.steps)
+    except (MemoryError, ValueError) as exc:
+        # numpy cannot allocate the grid, or refuses its size outright
+        raise ComplexityRefusal(f"sweep of {sweep.steps} steps: {exc}") from exc
     block = max(1, _BLOCK_ENTRIES // scenario.dim**4)
     chunks = []
     for start in range(0, len(grid), block):
@@ -220,10 +236,9 @@ def run_reproduce(example_id: int, strategy: SearchStrategy, out, err) -> None:
         err.write(f"reproducing worked example {example_id}: theta sweep\n")
         run_sweep(scenario, strategy, out)
         return
-    # example 2: single-point qutrit report at theta = pi/4
-    header, rows = _evaluate(scenario, np.array([math.pi / 4]), strategy)
-    _write_csv(header, [_format_rows(rows)], out)
-    row = dict(zip(header, rows[0].tolist()))
+    # example 2: single-point qutrit report at the file's theta, pi/4
+    header, row = run_compute(scenario, strategy, out)
+    row = dict(zip(header, row.tolist()))
     err.write("built-in example 2 (qutrit, theta = pi/4):\n")
     for label, ref in _EXAMPLE2_ENDPOINTS.items():
         got = row[label]

@@ -25,6 +25,7 @@ entries are numeric [re, im] pairs.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -44,7 +45,8 @@ _FUNCTIONS = {
     "exp": math.exp,
     "abs": abs,
 }
-_EXPR_GLOBALS = {"__builtins__": {}, "pi": math.pi, **_FUNCTIONS}
+# float is for the compiled form below; expressions cannot name it
+_EXPR_GLOBALS = {"__builtins__": {}, "pi": math.pi, "float": float, **_FUNCTIONS}
 _EXPR_NAMES = {"theta", "pi", *_FUNCTIONS}
 _EXPR_NODES = (
     ast.Expression,
@@ -86,15 +88,21 @@ def _check_node(node: ast.AST, text: str) -> None:
         )
 
 
+# An expression in theta, compiled to run at each value of a list of
+# placeholder values; EXPR stands for the checked expression.
+_COLUMN = "lambda thetas: [float(EXPR) for theta in thetas]"
+
+
 # One entry per distinct expression string read, so a sweep compiles each
-# string once rather than once per grid point.
+# string once rather than once per block of points.
 @functools.cache
 def _compile_expression(text: str):
-    """Check an expression against the whitelist; return (code, uses_theta).
+    """Check an expression against the whitelist; return (column, uses_theta).
 
     Allowed: numbers, + - * / **, unary signs, the names theta and pi, and
     single-argument calls of sin cos tan sqrt exp abs.  Numbers become
     floats, so a power of integer literals cannot grow without bound.
+    ``column(thetas)`` evaluates the expression at each value of a list.
     """
     try:
         tree = ast.parse(text, mode="eval")
@@ -103,14 +111,16 @@ def _compile_expression(text: str):
             _check_node(node, text)
             if isinstance(node, ast.Constant):
                 node.value = float(node.value)
-        code = compile(tree, "<expression>", "eval")
+        comprehension = ast.parse(_COLUMN, mode="eval")
+        comprehension.body.body.elt.args = [tree.body]
+        column = eval(compile(comprehension, "<expression>", "eval"), _EXPR_GLOBALS)
     except SyntaxError as exc:
         raise ValidationError(f"bad expression {text!r}: {exc.msg}") from exc
     except (RecursionError, MemoryError) as exc:
         # the parser's and the compiler's limits on nesting depth
         raise ValidationError(f"bad expression {text[:40]!r}...: nested too deeply") from exc
     uses_theta = any(isinstance(n, ast.Name) and n.id == "theta" for n in nodes)
-    return code, uses_theta
+    return column, uses_theta
 
 
 def eval_scalar(value, theta: float | None = None) -> float:
@@ -118,16 +128,37 @@ def eval_scalar(value, theta: float | None = None) -> float:
     if isinstance(value, (int, float)):
         return float(value)
     if isinstance(value, str):
-        code, uses_theta = _compile_expression(value)
+        column, uses_theta = _compile_expression(value)
         if uses_theta and theta is None:
             raise ValidationError(
                 f"expression {value!r} uses theta but no theta value is bound"
             )
         try:
-            return float(eval(code, _EXPR_GLOBALS, {"theta": theta}))
+            return column([theta])[0]
         except (ArithmeticError, ValueError, TypeError) as exc:
             raise ValidationError(f"bad expression {value!r}: {exc}") from exc
     raise ValidationError(f"expected number or expression, got {value!r}")
+
+
+def _column(value, thetas: list) -> list[float]:
+    """A state entry at each placeholder value of the list.
+
+    An expression runs once over the whole list.  If it fails anywhere, it
+    is evaluated again point by point with ``eval_scalar``, which raises the
+    error of the first failing point with ``row`` set to its index.
+    """
+    try:
+        if isinstance(value, str):
+            return _compile_expression(value)[0](thetas)
+        return [eval_scalar(value)] * len(thetas)
+    except (ArithmeticError, ValueError, TypeError, ValidationError):
+        for t, theta in enumerate(thetas):
+            try:
+                eval_scalar(value, theta)
+            except ValidationError as exc:
+                exc.row = t
+                raise
+        raise
 
 
 def _uses_theta(value) -> bool:
@@ -174,6 +205,11 @@ class Scenario:
     metric: MetricSpec = None
     theta: float | None = None
     tasks: tuple[Task, ...] = ()
+    # The state at the default placeholder value (theta, or 0.0 when unset)
+    # as a stack of one, validated by parse_scenario_text; None when the
+    # scenario was built otherwise.  dataclasses.replace keeps it, so a copy
+    # with another state_spec or theta needs state=None.
+    state: DensityMatrix | None = field(default=None, compare=False, repr=False)
 
     def uses_theta(self) -> bool:
         return _uses_theta(self.state_spec)
@@ -183,46 +219,50 @@ class Scenario:
         """Hilbert-space dimension of the state."""
         return 2 if self.state_kind == "bloch" else len(self.state_spec)
 
-    def _entries(self, theta: float | None):
-        """The state's numbers at one placeholder value, nested as in the spec."""
-        if self.state_kind == "bloch":
-            return [eval_scalar(v, theta) for v in self.state_spec]
-        if self.state_kind == "pure":
-            return [
-                complex(eval_scalar(re, theta), eval_scalar(im, theta))
-                for re, im in self.state_spec
-            ]
-        return [
-            [complex(eval_scalar(re, theta), eval_scalar(im, theta)) for re, im in row]
-            for row in self.state_spec
-        ]
-
     def build_state(self, theta=None) -> DensityMatrix:
         """Bind the placeholder and validate the state.
 
         ``theta`` is one value, or a 1-D array of values for a stack of
-        states, one per value; the entries are evaluated point by point and
-        validated as one stack.  An invalid point raises with ``row`` set to
-        its index.
+        states, one per value.  Each entry of the spec is evaluated over all
+        the values at once, and the states are validated as one stack.  An
+        invalid point raises with ``row`` set to its index.
         """
         if theta is None:
             theta = self.theta
         single = np.ndim(theta) == 0
-        entries = []
-        for t, value in enumerate([theta] if single else np.asarray(theta, float).tolist()):
+        thetas = [theta] if single else np.asarray(theta, float).tolist()
+        spec = self.state_spec
+        if self.state_kind == "pure":
+            spec = [x for pair in spec for x in pair]
+        elif self.state_kind == "density":
+            spec = [x for row in spec for pair in row for x in pair]
+        failures, columns = [], []
+        for value in spec:
             try:
-                entries.append(self._entries(value))
+                columns.append(_column(value, thetas))
             except ValidationError as exc:
-                exc.row = t
-                raise
-        return _BUILDERS[self.state_kind](entries[0] if single else entries)
+                failures.append(exc)
+        if failures:
+            # the first failing point, and at that point the first entry
+            raise min(failures, key=lambda exc: exc.row)
+        n = len(thetas)
+        values = np.array(columns).reshape(len(columns), n).T
+        if self.state_kind != "bloch":
+            # (re, im) pairs, filled part by part: re + 1j*im would change the
+            # sign of zeros and turn an infinite imaginary part into nan
+            pairs = values.reshape(n, len(columns) // 2, 2)
+            values = np.empty(pairs.shape[:2], complex)
+            values.real = pairs[..., 0]
+            values.imag = pairs[..., 1]
+            if self.state_kind == "density":
+                values = values.reshape(n, self.dim, self.dim)
+        build = getattr(DensityMatrix, _BUILDERS[self.state_kind])
+        return build(values[0] if single else values)
 
 
-_BUILDERS = {
-    "bloch": DensityMatrix.from_bloch,
-    "pure": DensityMatrix.from_pure,
-    "density": DensityMatrix.from_matrix,
-}
+# the DensityMatrix constructor of each state kind, by name: looked up on the
+# class at each call, so a wrapped constructor is the one called
+_BUILDERS = {"bloch": "from_bloch", "pure": "from_pure", "density": "from_matrix"}
 
 
 def _complex_entry(entry, where: str):
@@ -304,44 +344,99 @@ def _freeze(value):
     return value
 
 
-# libyaml's loader where PyYAML was built with it; both build the same
-# objects through the same resolver and SafeConstructor.
+# libyaml's parser where PyYAML was built with it, else the pure-Python one;
+# both give the same events.
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # The deepest valid scenario nests 5 collections: the document's mapping,
 # then state, density, a row and an entry (or observables, a matrix, a row and
-# an entry).  Deeper input is refused before it is loaded: both loaders build
-# nodes recursively, and the C loader crashes the interpreter on input nested
-# some 50000 deep.
+# an entry).  Deeper input is refused.
 _MAX_NESTING = 32
 
+# What a SafeLoader resolves plain scalars with and builds them by.  Neither
+# keeps state between scalars.
+_RESOLVER = yaml.resolver.Resolver()
+_CONSTRUCTOR = yaml.constructor.SafeConstructor()
+_TAG = "tag:yaml.org,2002:"
+_STR = _TAG + "str"
+_SCALAR_TAGS = {_TAG + t for t in ("null", "bool", "int", "float", "binary", "timestamp")}
+_SPECIAL_KEYS = {_TAG + "merge": "merge key", _TAG + "value": "value key"}
+_COLLECTION_TAGS = {
+    yaml.SequenceStartEvent: (None, "!", _TAG + "seq"),
+    yaml.MappingStartEvent: (None, "!", _TAG + "map"),
+}
 
-def _check_nesting(text: str, source: str) -> None:
-    """Raise ParseError if the document nests more than _MAX_NESTING collections.
 
-    Walks the parser's events, which needs no recursion.  Aliases are refused
-    as well: one alias can make a document recursive, and a chain of them can
-    nest it, or multiply its size, without bound.  Tasks name observables
-    directly, so the format has no use for them.
+def _scalar(event: yaml.ScalarEvent, source: str):
+    """The value a SafeLoader builds from a scalar event."""
+    tag = event.tag
+    if tag is None or tag == "!":
+        if not event.implicit[0]:
+            return event.value  # quoted: a string
+        tag = _RESOLVER.resolve(yaml.ScalarNode, event.value, event.implicit)
+    if tag == _STR:
+        return event.value
+    if tag in _SPECIAL_KEYS:
+        raise ParseError(
+            f"{source}: YAML {_SPECIAL_KEYS[tag]} {event.value!r} is not supported "
+            "in scenario files"
+        )
+    node = yaml.ScalarNode(tag, event.value, event.start_mark, event.end_mark)
+    # an unknown tag gets SafeConstructor's own error
+    construct = _CONSTRUCTOR.yaml_constructors[tag if tag in _SCALAR_TAGS else None]
+    try:
+        return construct(_CONSTRUCTOR, node)
+    except (ValueError, AttributeError, KeyError) as exc:
+        short = tag.replace(_TAG, "!!")
+        raise ParseError(f"{source}: {event.value!r} is not a valid {short} value") from exc
+
+
+def _load(text: str, source: str):
+    """The document of a YAML text as yaml.SafeLoader builds it, from one walk over its events.
+
+    The walk keeps the open collections on a list, so it needs no recursion.
+    It raises ParseError on input nested more than _MAX_NESTING collections
+    deep; on aliases, since one alias can make a document recursive and a
+    chain of them can nest it or multiply its size without bound, and tasks
+    name observables directly; on merge and value keys; on collection tags
+    other than !!seq and !!map; on unhashable keys; and on a second
+    document.  An empty stream gives None.
     """
-    depth = 0
+    # the items of each open collection, innermost last, under the list of
+    # documents; a mapping's items alternate key and value
+    stack = [[]]
+    mappings = []
     for event in yaml.parse(text, Loader=_Loader):
-        if isinstance(event, yaml.CollectionStartEvent):
-            depth += 1
-            if depth > _MAX_NESTING:
+        if isinstance(event, yaml.ScalarEvent):
+            stack[-1].append(_scalar(event, source))
+        elif isinstance(event, yaml.CollectionStartEvent):
+            if event.tag not in _COLLECTION_TAGS[type(event)]:
+                tag = event.tag.replace(_TAG, "!!")
+                raise ParseError(f"{source}: tag {tag} is not supported in scenario files")
+            if len(stack) > _MAX_NESTING:
                 raise ParseError(f"{source}: nested more than {_MAX_NESTING} deep")
+            stack.append([])
+            mappings.append(isinstance(event, yaml.MappingStartEvent))
         elif isinstance(event, yaml.CollectionEndEvent):
-            depth -= 1
+            items = stack.pop()
+            if mappings.pop():
+                try:
+                    items = dict(zip(items[::2], items[1::2]))
+                except TypeError as exc:
+                    raise ParseError(f"{source}: unhashable mapping key ({exc})") from exc
+            stack[-1].append(items)
         elif isinstance(event, yaml.AliasEvent):
             raise ParseError(
                 f"{source}: alias *{event.anchor} is not supported in scenario files"
             )
+        elif isinstance(event, yaml.DocumentStartEvent) and stack[0]:
+            raise ParseError(f"{source}: expected a single document, found a second one")
+    return stack[0][0] if stack[0] else None
 
 
 def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     try:
-        _check_nesting(text, source)
-        doc = yaml.load(text, Loader=_Loader)
+        doc = _load(text, source)
     except yaml.YAMLError as exc:
         raise ParseError(f"{source}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -406,9 +501,9 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
         theta=theta,
         tasks=tasks,
     )
-    # validate the state now, at the default placeholder binding
-    scenario.build_state(theta if theta is not None else 0.0)
-    return scenario
+    # validate the state now, at the default placeholder binding, and keep it
+    default = np.array([theta if theta is not None else 0.0])
+    return dataclasses.replace(scenario, state=scenario.build_state(default))
 
 
 def parse_scenario(path) -> Scenario:

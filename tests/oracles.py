@@ -12,8 +12,12 @@
 - Point-at-a-time forms of the stacked kernels: the semidefinite Cholesky
   factor, the I chain and the S table by direct summation, and the chain
   invariant checks, each written for one point with Python loops.
+- The numbers of a state spec at one placeholder value, each expression
+  evaluated by ``eval`` with theta bound and each pair joined by
+  ``complex(re, im)``.
 """
 
+import ast
 import itertools
 import math
 
@@ -373,3 +377,31 @@ def loop_check_product_chain(product, cauchy, I_seq, S_table, tol: float = 1e-9)
     for key, val in S_table.items():
         if not (lo <= val <= hi):
             raise InvariantViolation(f"S_{key} outside [cauchy, product]")
+
+
+def point_entry(value, theta: float) -> float:
+    """A state entry at one placeholder value: eval of the expression with theta bound.
+
+    Numbers in the expression become floats, as the package reads them.
+    """
+    if not isinstance(value, str):
+        return float(value)
+    tree = ast.parse(value, mode="eval")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant):
+            node.value = float(node.value)
+    names = {"__builtins__": {}, "pi": math.pi, "abs": abs}
+    names.update((f, getattr(math, f)) for f in ("sin", "cos", "tan", "sqrt", "exp"))
+    return float(eval(compile(tree, "<expression>", "eval"), names, {"theta": theta}))
+
+
+def loop_state_entries(kind: str, spec, theta: float):
+    """The numbers of a state spec at one placeholder value, nested as in the spec."""
+    if kind == "bloch":
+        return [point_entry(v, theta) for v in spec]
+    if kind == "pure":
+        return [complex(point_entry(re, theta), point_entry(im, theta)) for re, im in spec]
+    return [
+        [complex(point_entry(re, theta), point_entry(im, theta)) for re, im in row]
+        for row in spec
+    ]

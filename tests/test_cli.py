@@ -15,6 +15,7 @@ import skewbounds.loo
 import skewbounds.skewinfo
 from conftest import random_density, random_hermitian, random_unitary
 from skewbounds.cli import build_parser, main
+from skewbounds.linalg import DensityMatrix
 from skewbounds.metrics import parse_metric
 from skewbounds.scenario import (
     PairTask,
@@ -101,6 +102,14 @@ MALFORMED = {
     "theta-text": "theta: abc\n" + BLOCH + SIGMA_X,
     "theta-date": "theta: 2001-12-14\n" + BLOCH + SIGMA_X,
 }
+# tagged scalars with bad values, each once an uncaught ValueError,
+# AttributeError or KeyError from the YAML constructor
+BAD_TAGGED = {
+    "float": ("theta: !!float abc\n", "'abc' is not a valid !!float value"),
+    "int": ("theta: !!int x\n", "'x' is not a valid !!int value"),
+    "timestamp": ("theta: !!timestamp foo\n", "'foo' is not a valid !!timestamp value"),
+    "bool": ("theta: !!bool maybe\n", "'maybe' is not a valid !!bool value"),
+}
 
 
 def run_cli(*args):
@@ -155,6 +164,15 @@ class TestCompute:
         assert main(["--metric", "sld", "compute", path]) == 0
         header, rows = read_csv(capsys)
         assert len(rows) == 1
+
+    def test_metric_override_matches_the_edited_file(self, tmp_path, capsys):
+        # the state parsing built is kept through the override
+        text = QUBIT_CHAIN_SUM3.replace('"wyd:0.25"', '"wy"')
+        assert main(["--metric", "sld", "compute", write(tmp_path, text)]) == 0
+        overridden = capsys.readouterr().out
+        sld = write(tmp_path, text.replace('"wy"', '"sld"'), "sld.yaml")
+        assert main(["compute", sld]) == 0
+        assert overridden == capsys.readouterr().out
 
     def test_out_flag(self, tmp_path, capsys):
         path = write(tmp_path, QUBIT_CHAIN)
@@ -299,6 +317,34 @@ class TestPointWork:
         assert len(weights) == 1
 
 
+    @pytest.mark.parametrize(
+        "builder, state, argv",
+        [
+            ("from_bloch", None, ["compute"]),
+            ("from_bloch", None, ["--metric", "sld", "compute"]),
+            ("from_pure", 'pure: [["cos(theta)", 0.0], [0.0, "sin(theta)"]]', ["compute"]),
+            (
+                "from_matrix",
+                'density: [[["cos(theta)**2", 0.0], 0.0], [0.0, ["sin(theta)**2", 0.0]]]',
+                ["compute"],
+            ),
+            ("from_pure", None, ["reproduce", "2"]),
+        ],
+        ids=["bloch", "bloch-metric-override", "pure", "density", "reproduce-2"],
+    )
+    def test_compute_builds_the_state_once(
+        self, tmp_path, capsys, monkeypatch, builder, state, argv
+    ):
+        builds = self.counting(monkeypatch, DensityMatrix, builder)
+        text = QUBIT_CHAIN_SUM3
+        if state is not None:
+            text = text.replace('bloch: ["0.8*cos(theta)", "0.8*sin(theta)", 0.0]', state)
+        if argv[-1] == "compute":
+            argv = [*argv, write(tmp_path, text)]
+        assert main(argv) == 0
+        assert len(builds) == 1
+
+
 def mixture_scenario(d, seed, tasks):
     """rho(theta) = cos^2(theta) rho_1 + sin^2(theta) rho_2 of two seeded full-rank states."""
     rng = np.random.default_rng(seed)
@@ -387,6 +433,24 @@ tasks:""",
         assert main(["compute", write(tmp_path, text)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("case", BAD_TAGGED.values(), ids=list(BAD_TAGGED))
+    def test_bad_tagged_scalar(self, tmp_path, capsys, case):
+        line, message = case
+        assert main(["compute", write(tmp_path, line + BLOCH + SIGMA_X)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {tmp_path / 'scenario.yaml'}: {message}\n"
+
+    @pytest.mark.parametrize("steps", [10**17, 10**19])
+    def test_oversized_sweep(self, tmp_path, capsys, steps):
+        # 10**17 float64 values (711 PiB) exceed any address space, so the
+        # allocation fails at once; 10**19 exceeds numpy's largest size
+        text = QUBIT_CHAIN.replace("steps: 5", f"steps: {steps}")
+        assert main(["sweep", write(tmp_path, text)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"refused: sweep of {steps} steps: ")
+
     def test_complexity_refusal(self, tmp_path, capsys):
         path = write(tmp_path, QUTRIT_SUM)
         assert main(["--strategy", "exhaustive", "compute", path]) == 3
@@ -448,6 +512,20 @@ class TestSweepErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: Bloch vector norm 1.026476 exceeds 1\n"
+
+    def test_expression_fails_mid_grid(self, tmp_path, capsys):
+        # on [0, 3] in 5 steps, x fails from row 4 (theta = 3) and y from
+        # row 3 (theta = 2.25): the error is y's, the entry that fails first
+        text = BLOCH_SWEEP.replace(
+            '["1.2*sin(theta)", 0.0, 0.0]',
+            '["0.1*sqrt(2.5 - theta)", "0.1*sqrt(1.5 - theta)", 0.0]',
+        ).replace("range: [0.0, 1.5], steps: 20", "range: [0.0, 3.0], steps: 5")
+        assert main(["sweep", write(tmp_path, text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: bad expression '0.1*sqrt(1.5 - theta)': math domain error\n"
+        )
 
     def test_earlier_violation_before_later_bad_state(self, tmp_path, capsys):
         # entries of 1e200 make K overflow from row 1 on (row 0 is the

@@ -1,6 +1,7 @@
 """Scenario parsing, validation, expression handling, and round-tripping."""
 
 import importlib.resources
+import re
 from pathlib import Path
 
 import numpy as np
@@ -220,26 +221,87 @@ def scenarios(draw):
     return Scenario(kind, spec, observables, draw(st.text()), None, theta, tasks)
 
 
+class Plain(str):
+    """A scalar written unquoted, in a spelling safe_dump never writes itself."""
+
+
+class Dumper(yaml.SafeDumper):
+    pass
+
+
+Dumper.add_representer(
+    Plain,
+    lambda dumper, text: dumper.represent_scalar(
+        yaml.resolver.Resolver().resolve(yaml.ScalarNode, str(text), (True, False)), str(text)
+    ),
+)
+
+# spellings a SafeLoader reads as ints, floats, bools, nulls or timestamps
+PLAIN = ["1_000.5", "1:30", "-1:30.5", "0x1F", "0o17", "0b101", "+.inf", ".NaN", "1e3",
+         "Yes", "off", "~", "Null", "2001-12-14", "2001-12-14t21:59:43.10-05:00"]
+SCALARS = st.one_of(
+    st.integers(),
+    st.floats(),  # including inf and nan
+    st.booleans(),
+    st.none(),
+    st.datetimes(),
+    st.dates(),
+    st.text(),
+    st.sampled_from(PLAIN).map(Plain),
+)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.one_of(st.text(), st.integers(), st.booleans()), children,
+                        max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+def safe_loaded(text):
+    return repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+def loaded(text):
+    """repr of the scenario loader's document under each event parser (repr: nan == nan)."""
+    docs = []
+    for loader in LOADERS:
+        saved = skewbounds.scenario._Loader
+        skewbounds.scenario._Loader = loader
+        try:
+            docs.append(repr(skewbounds.scenario._load(text, "<test>")))
+        finally:
+            skewbounds.scenario._Loader = saved
+    return docs
+
+
 class TestLoader:
     def test_libyaml_loader_when_built(self):
-        # a silent fall-back to the pure-Python loader would cost ~4 ms a file
+        # a silent fall-back to the pure-Python parser would cost time on every file
         expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
         assert skewbounds.scenario._Loader is expected
 
     @pytest.mark.parametrize("path", COMMITTED_YAML, ids=lambda p: p.name)
     def test_committed_files_load_alike(self, path):
         text = path.read_text(encoding="utf-8")
-        assert yaml.load(text, Loader=skewbounds.scenario._Loader) == yaml.load(
-            text, Loader=yaml.SafeLoader
-        )
+        assert loaded(text) == [safe_loaded(text)] * len(LOADERS)
 
     @given(scenarios())
     @settings(max_examples=100, deadline=None)
     def test_written_scenarios_load_alike(self, s):
         text = write_scenario(s)
-        assert yaml.load(text, Loader=skewbounds.scenario._Loader) == yaml.load(
-            text, Loader=yaml.SafeLoader
-        )
+        assert loaded(text) == [safe_loaded(text)] * len(LOADERS)
+
+    @given(DOCUMENTS, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_random_documents_load_alike(self, doc, flow):
+        text = yaml.dump(doc, Dumper=Dumper, default_flow_style=flow)
+        assert loaded(text) == [safe_loaded(text)] * len(LOADERS)
+
+    def test_empty_stream(self):
+        assert loaded("# nothing\n") == ["None"] * len(LOADERS)
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
@@ -271,3 +333,45 @@ class TestNestingGuard:
         monkeypatch.setattr(skewbounds.scenario, "_Loader", loader)
         with pytest.raises(ParseError, match="alias"):
             parse_scenario_text(text)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+class TestRefusals:
+    """Input a SafeLoader reads but scenario files have no use for: a parse error."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("<<: {metric: wy}\n" + MINIMAL, "merge key '<<'"),
+            ("metric: wy\n=: 1\n", "value key '='"),
+            ("observables: !!set {A}\n", "tag !!set"),
+            ("observables: !!omap [A: 1]\n", "tag !!omap"),
+            ("observables: !!pairs [A: 1]\n", "tag !!pairs"),
+            ("observables: !!map [1]\n", "tag !!map"),
+            (MINIMAL + "---\n" + MINIMAL, "a second one"),
+            (MINIMAL + "? [1, 2]\n: 3\n", "unhashable mapping key"),
+            (MINIMAL + "{a: 1}: 3\n", "unhashable mapping key"),
+        ],
+        ids=["merge", "value", "set", "omap", "pairs", "map-on-list", "two-documents",
+             "list-key", "mapping-key"],
+    )
+    def test_refused(self, monkeypatch, loader, text, message):
+        monkeypatch.setattr(skewbounds.scenario, "_Loader", loader)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_scenario_text(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # test_cli covers the explicitly tagged !!float, !!int, !!timestamp
+            # and !!bool values
+            ("theta: 2001-02-30\n", "'2001-02-30' is not a valid !!timestamp value"),
+            ("theta: !!binary a\n", "failed to decode base64"),
+            ("theta: !foo 1\n", "could not determine a constructor for the tag '!foo'"),
+        ],
+        ids=["implicit-date", "binary", "unknown"],
+    )
+    def test_bad_scalar(self, monkeypatch, loader, text, message):
+        monkeypatch.setattr(skewbounds.scenario, "_Loader", loader)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_scenario_text(text + MINIMAL)

@@ -16,6 +16,7 @@ from oracles import (
     loop_chain_Ik,
     loop_check_product_chain,
     loop_cholesky_psd,
+    loop_state_entries,
     loop_table_Spq,
     pairwise_correlation,
 )
@@ -27,10 +28,11 @@ from skewbounds.bounds import (
     spq_order,
     table_Spq,
 )
-from skewbounds.errors import InvariantViolation
+from skewbounds.errors import InvariantViolation, ValidationError
 from skewbounds.linalg import DensityMatrix
 from skewbounds.loo import cholesky_psd, expand, loo_basis, modulus_vector
 from skewbounds.metrics import make_metric
+from skewbounds.scenario import Scenario
 from skewbounds.skewinfo import correlation_matrix
 
 
@@ -122,3 +124,45 @@ def test_single_point_and_stack_of_one_agree(n):
     x, y = rng.uniform(0, 2, size=(2, n))
     assert np.array_equal(chain_Ik(x, y), chain_Ik(x[None], y[None])[0])
     assert np.array_equal(table_Spq(x, y), table_Spq(x[None], y[None])[0])
+
+
+# valid states whose entries include -0.0, which re + 1j*im would turn into 0.0
+STATE_SPECS = {
+    "bloch": ("from_bloch", ("0.5*cos(theta)", "-0.0*theta", 0.5)),
+    "pure": ("from_pure", (("cos(theta)", "-0.0*theta"), ("sin(theta)", 0.0))),
+    "density": (
+        "from_matrix",
+        (
+            (("cos(theta)**2", 0.0), ("0.3*sin(theta)*cos(theta)", "-0.0*theta")),
+            (("0.3*sin(theta)*cos(theta)", "-0.0"), ("sin(theta)**2", -0.0)),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(STATE_SPECS))
+def test_state_entries_match_point_evaluation(monkeypatch, kind):
+    # the stack handed to the state's constructor holds, bit for bit, the
+    # numbers a point-by-point evaluation gives, signs of zeros included
+    builder, spec = STATE_SPECS[kind]
+    received = []
+    original = getattr(DensityMatrix, builder)
+    monkeypatch.setattr(
+        DensityMatrix, builder, lambda entries: received.append(entries) or original(entries)
+    )
+    grid = np.linspace(0.1, 1.4, 7)
+    Scenario(kind, spec, {}).build_state(grid)
+    expected = np.array([loop_state_entries(kind, spec, t) for t in grid.tolist()])
+    assert received[0].dtype == expected.dtype
+    assert received[0].shape == expected.shape
+    assert received[0].tobytes() == expected.tobytes()
+
+
+def test_state_error_is_the_first_failing_point():
+    # on [0, 3] in 5 steps the first entry fails from row 4 and the second
+    # from row 3: the error is the second entry's, at row 3
+    spec = ("0.1*sqrt(2.5 - theta)", "0.1*sqrt(1.5 - theta)", 0.0)
+    with pytest.raises(ValidationError) as info:
+        Scenario("bloch", spec, {}).build_state(np.linspace(0.0, 3.0, 5))
+    assert str(info.value) == "bad expression '0.1*sqrt(1.5 - theta)': math domain error"
+    assert info.value.row == 3

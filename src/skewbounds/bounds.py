@@ -10,9 +10,10 @@ The product and sum bounds are pure functions of two arrays per point: the
 correlation matrix K of the observables (skewinfo.correlation_matrix) and
 their modulus vectors (loo.modulus_vector).  Every function here also takes
 a stack of points along a leading axis, K (T, N, N) and moduli (T, n), and
-evaluates it with array operations; the permutation searches of N >= 3 sum
-bounds run point by point.  The checks report the first failing point of a
-stack, with the error's ``row`` set to its index.
+evaluates it with array operations, the permutation search of an N >= 3 sum
+bound included: its candidate tuples are shared by the points of a stack.
+The checks report the first failing point of a stack, with the error's
+``row`` set to its index.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ from .errors import (
     DimensionMismatch,
     InvariantViolation,
     LengthMismatch,
-    SkewboundsError,
     ValidationError,
     raise_first,
 )
 
 # Hard cap on enumerated permutation candidates for exhaustive searches.
 EXHAUSTIVE_CAP = 10**6
-# Permutation tuples evaluated per array pass of the sum-bound search.
+# (point, permutation tuple) pairs evaluated per array pass of the sum-bound search.
 _CHUNK_ROWS = 1 << 15
 
 
@@ -186,34 +186,107 @@ def best_permuted_product_bound(
     return float(V[i, j, k, l]), (completed(i, j), completed(k, l)), index
 
 
-def _tuple_values(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The sum-form lower bound of each row of a (k, N, n) permutation array.
+def _tuple_values(P: np.ndarray) -> np.ndarray:
+    """The sum-form lower bound of permuted families, P (T, N, k, n) to values (T, k).
+
+    P[t, i, c] is the vector Xi^pi of observable i at point t under
+    candidate tuple c.
 
     (1/(2N-2)) [ sum_{i<j} ||Xi^pi + Xj^pj||^2
                  + (2/(N(N-1))) (sum_{i<j} ||Xi^pi - Xj^pj||)^2 ]
 
-    The pairs are accumulated in the order i < j, row by row, so each value
-    is the same floating-point sum a tuple-at-a-time loop would form.
+    The pairs are accumulated in the order i < j, each norm over the
+    contiguous last axis, so each value is the same floating-point sum a
+    tuple-at-a-time loop would form.
     """
-    N = len(X)
-    Xp = [X[i][rows[:, i, :]] for i in range(N)]
-    plus = np.zeros(len(rows))
-    minus = np.zeros(len(rows))
+    N = P.shape[1]
+    plus = np.zeros(P.shape[:1] + P.shape[2:-1])
+    minus = np.zeros_like(plus)
     for i in range(N):
         for j in range(i + 1, N):
-            plus += np.sum((Xp[i] + Xp[j]) ** 2, axis=1)
-            minus += np.sqrt(np.sum((Xp[i] - Xp[j]) ** 2, axis=1))
+            plus += np.sum((P[:, i] + P[:, j]) ** 2, axis=-1)
+            minus += np.sqrt(np.sum((P[:, i] - P[:, j]) ** 2, axis=-1))
     return (plus + (2.0 / (N * (N - 1))) * minus**2) / (2.0 * N - 2.0)
 
 
-def _candidate_rows(X: np.ndarray, strategy: SearchStrategy):
-    """Yield the candidate permutation tuples as (k, N, n) chunks, in search order.
+@functools.cache
+def _arrangements(n: int, zeros: tuple[int, ...]) -> np.ndarray:
+    """The permutations of range(n) that keep the indices ``zeros`` in increasing order, read-only.
 
-    Exhaustive: the first permutation is the identity and the others run
-    over n! ** (N-1) tuples in itertools.product order.  Sampled: the
-    identity tuple, the sorting tuple, then ``n_samples`` seeded draws.
+    These are the n! / len(zeros)! distinct arrangements of a vector whose
+    entries at ``zeros`` are equal, each the first of its arrangement in
+    itertools.permutations order, and listed in that order.
     """
-    N, n = X.shape
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    if len(zeros) > 1:
+        # the position each zero index takes in each permutation
+        at = np.argsort(perms, axis=1)[:, list(zeros)]
+        perms = perms[np.all(at[:, :-1] < at[:, 1:], axis=1)]
+    perms.setflags(write=False)
+    return perms
+
+
+def _product_rows(lists: list[np.ndarray], flat: np.ndarray) -> np.ndarray:
+    """The tuples at positions ``flat`` of (identity, a_1, ..., a_{N-1}) over
+    a_i in lists[i - 1], in itertools.product order: an array (len(flat), N, n)."""
+    n = lists[0].shape[1]
+    rows = np.empty((len(flat), len(lists) + 1, n), dtype=np.intp)
+    rows[:, 0] = np.arange(n)
+    for i, idx in enumerate(np.unravel_index(flat, [len(a) for a in lists]), start=1):
+        rows[:, i] = lists[i - 1][idx]
+    return rows
+
+
+def _scan(X, points, chunks, values, index, sorted_X=None) -> None:
+    """Raise values[points] to the first maximum over the candidate chunks, in order.
+
+    X is the stack (T, N, n); ``chunks`` yields arrays (k, N, n) of
+    candidate tuples shared by the points, and ``index`` receives the
+    position of each point's maximum in the concatenated chunks.  Each pass
+    gathers at most _CHUNK_ROWS (point, tuple) pairs.  ``sorted_X``, when
+    given, holds each point's vectors permuted by its own sorting tuple,
+    which replaces candidate 1.
+    """
+    N, n = X.shape[1:]
+    flat_X = X.reshape(len(X), N * n)
+    start = 0
+    for rows in chunks:
+        # positions in a point's flattened family, as (N, k, n)
+        flat = rows.transpose(1, 0, 2) + (n * np.arange(N))[:, None, None]
+        step = max(1, _CHUNK_ROWS // len(rows))
+        for s in range(0, len(points), step):
+            pts = points[s : s + step]
+            P = flat_X[pts][:, flat]
+            if sorted_X is not None and start <= 1 < start + len(rows):
+                P[:, :, 1 - start] = sorted_X[pts]
+            vals = _tuple_values(P)
+            r = np.argmax(vals, axis=1)
+            v = vals[np.arange(len(pts)), r]
+            # a nan counts as the maximum across chunks, as argmax takes it within one
+            better = (v > values[pts]) | (np.isnan(v) & ~np.isnan(values[pts]))
+            values[pts[better]] = v[better]
+            index[pts[better]] = start + r[better]
+        start += len(rows)
+
+
+def _best_tuples(X: np.ndarray, strategy: SearchStrategy) -> tuple[np.ndarray, list]:
+    """First maximum of the tuple values of each family of a stack X (T, N, n), N >= 3.
+
+    Returns the (T,) values and the T witnesses, each a list of N
+    permutations.  Candidates, in search order:
+
+    - exhaustive: the first permutation is the identity, the others run over
+      n! ** (N-1) tuples in itertools.product order.  Permuting a vector's
+      exact zeros among themselves leaves it unchanged, so only the first
+      tuple of each set of identical ones is evaluated: the points are
+      grouped by where their vectors 2..N have zeros, and each group runs
+      over the product of its _arrangements.
+    - sampled: the identity tuple, the point's stable sorting tuple, then
+      ``n_samples`` seeded draws, the same at every point.
+    """
+    T, N, n = X.shape
+    values = np.full(T, -np.inf)
+    index = np.zeros(T, dtype=np.intp)
     if strategy.kind == "exhaustive":
         count = math.factorial(n) ** (N - 1)
         if count > EXHAUSTIVE_CAP:
@@ -221,40 +294,40 @@ def _candidate_rows(X: np.ndarray, strategy: SearchStrategy):
                 f"exhaustive tuple search over {count} candidates exceeds cap "
                 f"{EXHAUSTIVE_CAP}; use the sampled strategy"
             )
-        perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-        shape = (len(perms),) * (N - 1)
-        for start in range(0, count, _CHUNK_ROWS):
-            flat = np.arange(start, min(start + _CHUNK_ROWS, count))
-            rows = np.empty((len(flat), N, n), dtype=np.intp)
-            rows[:, 0] = np.arange(n)
-            for i, idx in enumerate(np.unravel_index(flat, shape), start=1):
-                rows[:, i] = perms[idx]
-            yield rows
-        return
-    rows = np.empty((strategy.n_samples + 2, N, n), dtype=np.intp)
-    rows[0] = np.arange(n)
-    rows[1] = np.argsort(X, axis=1, kind="stable")
-    # permuted shuffles each length-n row in C order, drawing from the
-    # stream exactly as successive rng.permutation(n) calls do
-    rng = np.random.default_rng(strategy.seed)
-    rows[2:] = rng.permuted(
-        np.broadcast_to(np.arange(n), (strategy.n_samples, N, n)), axis=-1
-    )
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        yield rows[start : start + _CHUNK_ROWS]
-
-
-def _best_tuple(X: np.ndarray, strategy: SearchStrategy) -> tuple[float, list[tuple[int, ...]]]:
-    """First maximum of the tuple values of one family X (N, n), N >= 3, in search order."""
-    best = -np.inf
-    witness = None
-    for rows in _candidate_rows(X, strategy):
-        values = _tuple_values(X, rows)
-        r = int(np.argmax(values))
-        if values[r] > best:
-            best = float(values[r])
-            witness = rows[r]
-    return best, [tuple(int(i) for i in p) for p in witness]
+        witness = np.empty((T, N, n), dtype=np.intp)
+        zero = (X[:, 1:] == 0).reshape(T, -1)
+        todo = np.ones(T, dtype=bool)
+        while todo.any():
+            # the points left whose zeros are where the first of them has its
+            pattern = zero[todo.argmax()]
+            points = np.flatnonzero(todo & np.all(zero == pattern, axis=1))
+            todo[points] = False
+            lists = [
+                _arrangements(n, tuple(np.flatnonzero(z).tolist()))
+                for z in pattern.reshape(N - 1, n)
+            ]
+            total = math.prod(len(a) for a in lists)
+            chunks = (
+                _product_rows(lists, np.arange(s, min(s + _CHUNK_ROWS, total)))
+                for s in range(0, total, _CHUNK_ROWS)
+            )
+            _scan(X, points, chunks, values, index)
+            witness[points] = _product_rows(lists, index[points])
+    else:
+        rows = np.empty((strategy.n_samples + 2, N, n), dtype=np.intp)
+        rows[:2] = np.arange(n)  # row 1 stands for each point's sorting tuple
+        # permuted shuffles each length-n row in C order, drawing from the
+        # stream exactly as successive rng.permutation(n) calls do
+        rng = np.random.default_rng(strategy.seed)
+        rows[2:] = rng.permuted(
+            np.broadcast_to(np.arange(n), (strategy.n_samples, N, n)), axis=-1
+        )
+        order = np.argsort(X, axis=-1, kind="stable")
+        chunks = (rows[s : s + _CHUNK_ROWS] for s in range(0, len(rows), _CHUNK_ROWS))
+        _scan(X, np.arange(T), chunks, values, index, np.take_along_axis(X, order, -1))
+        witness = rows[index]
+        witness[index == 1] = order[index == 1]
+    return values, [[tuple(p) for p in w] for w in witness.tolist()]
 
 
 def sum_bound_parallelogram(
@@ -267,14 +340,15 @@ def sum_bound_parallelogram(
     is returned with the identity witness under either strategy.  For N >= 3
     the bound is invariant under composing every permutation with a common
     one, so exhaustive enumeration fixes the first permutation to the
-    identity and sweeps the remaining n! ** (N-1) tuples (capped); the
-    candidates are evaluated as arrays, chunk by chunk, and the witness is
-    the first maximum in search order.
+    identity and sweeps the remaining n! ** (N-1) tuples, of which it
+    evaluates one per set of identical tuples (see _best_tuples).  The cap
+    counts all n! ** (N-1).  The witness is the first maximum in search
+    order.
 
     ``moduli`` holds N vectors of one length n, or is a stack (T, N, n) of
     such families.  A stack gives a (T,) array of values and a list of T
-    witnesses: the N = 2 value is computed for the whole stack at once, and
-    an N >= 3 search runs point by point.
+    witnesses.  One family is searched as a stack of one: the candidates are
+    evaluated for a whole stack at once, in array passes of bounded size.
     """
     try:
         X = np.asarray(moduli, dtype=float)
@@ -282,26 +356,18 @@ def sum_bound_parallelogram(
         raise LengthMismatch("modulus vectors must share one length") from exc
     if X.ndim not in (2, 3):
         raise LengthMismatch("modulus vectors must share one length")
-    N, n = X.shape[-2:]
+    stack = X if X.ndim == 3 else X[None]
+    T, N, n = stack.shape
     if N < 2:
         raise DimensionMismatch("sum bound needs at least 2 observables")
     if N == 2:
         identity = tuple(range(n))
-        value = np.sum(X[..., 0, :] ** 2, axis=-1) + np.sum(X[..., 1, :] ** 2, axis=-1)
-        if X.ndim == 2:
-            return float(value), [identity, identity]
-        return value, [[identity, identity] for _ in range(len(X))]
+        values = np.sum(stack[:, 0] ** 2, axis=-1) + np.sum(stack[:, 1] ** 2, axis=-1)
+        witnesses = [[identity, identity] for _ in range(T)]
+    else:
+        values, witnesses = _best_tuples(stack, strategy)
     if X.ndim == 2:
-        return _best_tuple(X, strategy)
-    values = np.empty(len(X))
-    witnesses = []
-    for t, family in enumerate(X):
-        try:
-            values[t], witness = _best_tuple(family, strategy)
-        except SkewboundsError as exc:
-            exc.row = t
-            raise
-        witnesses.append(witness)
+        return float(values[0]), witnesses[0]
     return values, witnesses
 
 

@@ -119,14 +119,25 @@ def _compile_expression(text: str):
     except (RecursionError, MemoryError) as exc:
         # the parser's and the compiler's limits on nesting depth
         raise ValidationError(f"bad expression {text[:40]!r}...: nested too deeply") from exc
+    except OverflowError as exc:
+        # an integer literal beyond the float range
+        raise ValidationError(f"bad expression {text[:40]!r}...: {exc}") from exc
     uses_theta = any(isinstance(n, ast.Name) and n.id == "theta" for n in nodes)
     return column, uses_theta
+
+
+def _float(value, what: str) -> float:
+    """float(value), refusing an integer beyond the float range as invalid."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValidationError(f"{what}: {exc}") from exc
 
 
 def eval_scalar(value, theta: float | None = None) -> float:
     """Evaluate a numeric literal or an expression string in theta."""
     if isinstance(value, (int, float)):
-        return float(value)
+        return _float(value, "state entry")
     if isinstance(value, str):
         column, uses_theta = _compile_expression(value)
         if uses_theta and theta is None:
@@ -267,7 +278,7 @@ _BUILDERS = {"bloch": "from_bloch", "pure": "from_pure", "density": "from_matrix
 
 def _complex_entry(entry, where: str):
     if isinstance(entry, (int, float)):
-        return (float(entry), 0.0)
+        return (_float(entry, where), 0.0)
     if isinstance(entry, list) and len(entry) == 2:
         return entry
     raise ParseError(f"{where}: entry {entry!r} is not a number or [re, im] pair")
@@ -283,7 +294,7 @@ def _parse_observable(name: str, rows) -> np.ndarray:
         where = f"observable {name!r} row {i}"
         try:
             mat.append([complex(*map(float, _complex_entry(e, where))) for e in row])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{where}: entries must be numbers ({exc})") from exc
     try:
         return as_observable(mat)
@@ -311,7 +322,8 @@ def _parse_task(entry) -> Task:
     if kind == "sweep":
         try:
             lo, hi = body["range"]
-            lo, hi, steps = float(lo), float(hi), body["steps"]
+            lo, hi = _float(lo, "sweep range"), _float(hi, "sweep range")
+            steps = body["steps"]
         except (TypeError, KeyError, ValueError) as exc:
             raise ParseError(f"sweep task needs param/range/steps: {entry!r}") from exc
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -474,7 +486,7 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     theta = doc.get("theta")
     if theta is not None:
         try:
-            theta = float(theta)
+            theta = _float(theta, f"{source}: theta")
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{source}: theta {theta!r} is not a number") from exc
         if not math.isfinite(theta):

@@ -309,6 +309,16 @@ class TestParallelogramSumBound:
         with pytest.raises(DimensionMismatch):
             sum_bound_parallelogram([np.ones(4)])
 
+    @pytest.mark.parametrize("kind", ["exhaustive", "sampled"])
+    def test_nan_modulus_gives_nan(self, kind):
+        # every candidate tuple evaluates to nan: the bound is nan, with the
+        # first candidate, the identity, as its witness
+        vecs = np.ones((3, 4))
+        vecs[1, 2] = np.nan
+        val, witness = sum_bound_parallelogram(vecs, SearchStrategy(kind=kind))
+        assert np.isnan(val)
+        assert witness == [tuple(range(4))] * 3
+
     def test_invalid_strategy(self):
         with pytest.raises(ValidationError):
             SearchStrategy(kind="annealing")

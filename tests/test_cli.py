@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import skewbounds.bounds
 import skewbounds.cli
 import skewbounds.loo
 import skewbounds.skewinfo
@@ -316,6 +317,49 @@ class TestPointWork:
         assert cholesky == []
         assert len(weights) == 1
 
+    def kernel_shapes(self, monkeypatch):
+        """The (points, tuples) of each call of the sum-bound value kernel."""
+        shapes = []
+        original = skewbounds.bounds._tuple_values
+
+        def wrapper(P):
+            shapes.append((P.shape[0], P.shape[2]))
+            return original(P)
+
+        monkeypatch.setattr(skewbounds.bounds, "_tuple_values", wrapper)
+        return shapes
+
+    @pytest.mark.parametrize("argv", [[], ["--strategy", "sampled", "--samples", "30"]])
+    def test_sum_search_once_per_block(self, tmp_path, capsys, monkeypatch, argv):
+        # the five points share their zero pattern: one pass over all of them
+        shapes = self.kernel_shapes(monkeypatch)
+        assert main([*argv, "sweep", write(tmp_path, QUBIT_CHAIN_SUM3)]) == 0
+        assert len(read_csv(capsys)[1]) == 5
+        assert [points for points, _ in shapes] == [5]
+
+    def test_reproduce_3_searches_distinct_tuples(self, capsys, monkeypatch):
+        # each modulus vector has two exact zeros, so 4!/2! = 12 distinct
+        # arrangements of each of the two permuted vectors: 144 tuples a
+        # point, not 24**2 = 576
+        shapes = self.kernel_shapes(monkeypatch)
+        assert main(["reproduce", "3"]) == 0
+        assert len(read_csv(capsys)[1]) == 100
+        assert sum(points for points, _ in shapes) == 100
+        assert sum(points * tuples for points, tuples in shapes) <= 144 * 100
+
+    def test_qutrit_exhaustive_sweep_refused(self, tmp_path, capsys):
+        text = QUTRIT_SUM.replace(
+            "pure: [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]",
+            'pure: [["cos(theta)", 0.0], ["sin(theta)", 0.0], [0.0, 0.0]]',
+        ) + "  - sweep: {param: theta, range: [0.0, 1.0], steps: 4}\n"
+        assert main(["sweep", write(tmp_path, text)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "refused: exhaustive tuple search over 131681894400 candidates exceeds "
+            "cap 1000000; use the sampled strategy\n"
+        )
+
 
     @pytest.mark.parametrize(
         "builder, state, argv",
@@ -479,6 +523,29 @@ tasks:""",
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, old, new",
+        [
+            (["compute"], "bloch: [0.5, 0.0, 0.0]", "bloch: [BIG, 0.0, 0.0]"),
+            (["compute"], "bloch: [0.5, 0.0, 0.0]", 'bloch: ["BIG*theta", 0.0, 0.0]'),
+            (["compute"], "bloch: [0.5, 0.0, 0.0]", "pure: [BIG, 0.0]"),
+            (["compute"], "A: [[0.0, 1.0]", "A: [[BIG, 1.0]"),
+            (["compute"], "A: [[0.0, 1.0]", "A: [[[0.0, BIG], 1.0]"),
+            (["compute"], "state:", "theta: BIG\nstate:"),
+            (["sweep"], "tasks: []", "tasks:\n  - sweep: {range: [BIG, 1.0], steps: 3}"),
+        ],
+        ids=["state", "state-expression", "pure", "observable", "observable-pair",
+             "theta", "sweep-range"],
+    )
+    def test_integer_beyond_float_range(self, tmp_path, capsys, argv, old, new):
+        # once an uncaught OverflowError: int too large to convert to float
+        text = (BLOCH + SIGMA_X + "tasks: []\n").replace(old, new.replace("BIG", "1" + "0" * 400))
+        assert main([*argv, write(tmp_path, text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "int too large to convert to float" in captured.err
 
     def test_non_finite_theta(self, tmp_path, capsys):
         # a theta-free state: once exit 2 ("non-finite value in column

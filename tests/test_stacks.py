@@ -4,7 +4,8 @@ A sweep evaluates its grid as stacks of points.  Each stacked kernel is fed
 the same input as its one-point reference, point by point, and must agree
 within 1e-10 max(1, |product|), the program's own equality tolerance; the
 stacked checks must report the first failing point with the reference's
-message.
+message.  The stacked permutation search keeps the reference's arithmetic,
+so its values must be equal and its witnesses identical.
 """
 
 import numpy as np
@@ -17,15 +18,18 @@ from oracles import (
     loop_check_product_chain,
     loop_cholesky_psd,
     loop_state_entries,
+    loop_sum_bound,
     loop_table_Spq,
     pairwise_correlation,
 )
 from skewbounds.bounds import (
     ProductChain,
+    SearchStrategy,
     chain_Ik,
     check_product_chain,
     product_chain,
     spq_order,
+    sum_bound_parallelogram,
     table_Spq,
 )
 from skewbounds.errors import InvariantViolation, ValidationError
@@ -76,6 +80,47 @@ def test_stacked_kernels_match_point_references(seed, d, kind):
         assert np.all(np.abs(I[t] - loop_chain_Ik(x, y)) <= tol)
         S_ref = loop_table_Spq(x, y)
         assert np.all(np.abs(S[t] - [S_ref[key] for key in spq_order(d * d)]) <= tol)
+
+
+@st.composite
+def zero_patterned_stacks(draw):
+    """Stacks (T, N, n) of tie-prone modulus vectors, T = 1-12, N = 3-4.
+
+    Their exact zeros are shared by every point, drawn for each point (so a
+    stack holds several zero patterns), or absent.  n stays where the
+    exhaustive reference loop takes at most 576 tuples a point.
+    """
+    T = draw(st.integers(1, 12))
+    N = draw(st.integers(3, 4))
+    n = draw(st.integers(2, 4 if N == 3 else 3))
+    entries = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 2.0))
+    X = np.array(draw(st.lists(entries, min_size=T * N * n, max_size=T * N * n)))
+    X = X.reshape(T, N, n)
+    zeros = draw(st.sampled_from(["shared", "per-point", "none"]))
+    masks = st.lists(st.booleans(), min_size=N * n, max_size=N * n)
+    if zeros == "shared":
+        X[:, np.array(draw(masks)).reshape(N, n)] = 0.0
+    elif zeros == "per-point":
+        X[np.array([draw(masks) for _ in range(T)]).reshape(T, N, n)] = 0.0
+    else:
+        X[X == 0.0] = 1.5
+    return X
+
+
+@given(
+    zero_patterned_stacks(),
+    st.sampled_from(["exhaustive", "sampled"]),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_stacked_sum_search_matches_loop(X, kind, seed):
+    strategy = SearchStrategy(kind=kind, n_samples=20, seed=seed)
+    values, witnesses = sum_bound_parallelogram(X, strategy)
+    assert len(values) == len(witnesses) == len(X)
+    for t, family in enumerate(X):
+        value, witness = loop_sum_bound(family, strategy)
+        assert values[t] == value
+        assert witnesses[t] == witness
 
 
 def violation(fn):

@@ -298,7 +298,7 @@ def _best_tuples(X: np.ndarray, strategy: SearchStrategy) -> tuple[np.ndarray, l
         zero = (X[:, 1:] == 0).reshape(T, -1)
         todo = np.ones(T, dtype=bool)
         while todo.any():
-            # the points left whose zeros are where the first of them has its
+            # the first point left, and every point left with zeros where it has them
             pattern = zero[todo.argmax()]
             points = np.flatnonzero(todo & np.all(zero == pattern, axis=1))
             todo[points] = False

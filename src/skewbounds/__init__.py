@@ -13,7 +13,7 @@ from .bounds import (
     sum_bound_parallelogram,
     table_Spq,
 )
-from .linalg import DensityMatrix, as_observable, eig_hermitian
+from .linalg import DensityMatrix, as_observable
 from .loo import expand, gram_matrix, loo_basis, modulus_vector
 from .metrics import MetricSpec, make_metric, parse_metric
 from .skewinfo import correlation, correlation_matrix, skew_information
@@ -29,7 +29,6 @@ __all__ = [
     "chain_Ik",
     "correlation",
     "correlation_matrix",
-    "eig_hermitian",
     "expand",
     "gram_matrix",
     "loo_basis",

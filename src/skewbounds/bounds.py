@@ -38,6 +38,8 @@ from .errors import (
 EXHAUSTIVE_CAP = 10**6
 # (point, permutation tuple) pairs evaluated per array pass of the sum-bound search.
 _CHUNK_ROWS = 1 << 15
+# Slack of the ordering checks, relative to max(1, |product|) or max(1, sum).
+CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,30 +68,6 @@ def _as_modulus_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 def _value(a):
     """A float for a single point, the array itself for a stack."""
     return float(a) if np.ndim(a) == 0 else a
-
-
-def chain_Ik(x, y) -> np.ndarray:
-    """The refinement chain I_1 ... I_n, n = len(x), from prefix sums.
-
-    I_k keeps the cross terms x_i^2 y_j^2 + x_j^2 y_i^2 for pairs reaching
-    beyond position k and replaces the pairs inside the first k positions by
-    their geometric-mean counterparts 2 x_i y_i x_j y_j.  x and y may be
-    vectors (n,) or stacks (T, n); the chain has the same shape.
-    """
-    x, y = _as_modulus_pair(x, y)
-    x2, y2 = x * x, y * y
-    xy = x * y
-    # a row-by-column product sums as np.dot does on one pair of vectors
-    diag = (x2[..., None, :] @ y2[..., :, None])[..., 0]
-    # the pair weights of the pairs (i, j), i < j, summed over i for each j >= 1
-    cx, cy, cxy = (np.cumsum(v, axis=-1)[..., :-1] for v in (x2, y2, xy))
-    cross = cx * y2[..., 1:] + cy * x2[..., 1:]
-    geo = 2.0 * (cxy * xy[..., 1:])
-    # prefix sums over the pairs with j < k, for k = 1 .. n
-    zero = np.zeros_like(diag)
-    cross_prefix = np.concatenate([zero, np.cumsum(cross, axis=-1)], axis=-1)
-    geo_prefix = np.concatenate([zero, np.cumsum(geo, axis=-1)], axis=-1)
-    return diag + (cross_prefix[..., -1:] - cross_prefix) + geo_prefix
 
 
 def spq_order(n: int) -> list[tuple[int, int]]:
@@ -140,11 +118,25 @@ def table_Spq(x, y) -> np.ndarray:
     return S
 
 
+def _chain_from_table(S: np.ndarray, n: int) -> np.ndarray:
+    """I_1 ... I_n read off a flat S table: I_1 = S_10 and I_p = S_{p,p-1}."""
+    return S[..., np.concatenate([[0], _spq_index(n)[2]])]
+
+
+def chain_Ik(x, y) -> np.ndarray:
+    """The refinement chain I_1 ... I_n, n = len(x), read off the S table.
+
+    I_k keeps the cross terms x_i^2 y_j^2 + x_j^2 y_i^2 for pairs reaching
+    beyond position k and replaces the pairs inside the first k positions by
+    their geometric-mean counterparts 2 x_i y_i x_j y_j: it is S_{k,k-1}.
+    x and y may be vectors (n,) or stacks (T, n); the chain has the same
+    shape.
+    """
+    return _chain_from_table(table_Spq(x, y), np.shape(x)[-1])
+
+
 def best_permuted_product_bound(
-    x,
-    y,
-    which: str = "Ik",
-    strategy: SearchStrategy = SearchStrategy(),
+    x, y, which: str = "Ik"
 ) -> tuple[float, tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]:
     """Best non-trivial permuted chain bound on the product I(A) I(B).
 
@@ -157,9 +149,6 @@ def best_permuted_product_bound(
     The witness is the first maximizing pair in lexicographic enumeration
     order: (i, j) and (k, l), each completed by the remaining indices in
     ascending order.
-
-    ``strategy`` is accepted for compatibility and does not change the
-    result: a sampled search could never beat the exact optimum.
     """
     x, y = _as_modulus_pair(x, y)
     n = len(x)
@@ -438,14 +427,16 @@ def product_chain(K, x, y) -> ProductChain:
     """Product, Cauchy-Schwarz bound, and both refinement chains of (A, B).
 
     K is the 2 x 2 correlation matrix of (A, B); x and y are their modulus
-    vectors.  Stacks K (T, 2, 2), x and y (T, n) give a stacked chain.
+    vectors.  The S table is built once and the I chain read off it.
+    Stacks K (T, 2, 2), x and y (T, n) give a stacked chain.
     """
     product, cauchy = product_and_cauchy(K)
+    S = table_Spq(x, y)
     return ProductChain(
         product=product,
         cauchy=cauchy,
-        I_seq=chain_Ik(x, y),
-        S_table=table_Spq(x, y),
+        I_seq=_chain_from_table(S, np.shape(x)[-1]),
+        S_table=S,
     )
 
 
@@ -454,24 +445,25 @@ def _scale(product) -> np.ndarray:
     return np.fmax(1.0, np.abs(product))
 
 
-def check_cauchy(product, cauchy, tol: float = 1e-9) -> None:
+def check_cauchy(product, cauchy) -> None:
     """Assert the Cauchy-Schwarz bound does not exceed the product.
 
-    The tolerance scales with max(1, |product|).  Arrays are checked point
-    by point.
+    The tolerance CHECK_TOL scales with max(1, |product|).  Arrays are
+    checked point by point.
     """
     product, cauchy = np.atleast_1d(product), np.atleast_1d(cauchy)
     raise_first(
-        [(cauchy > product + tol * _scale(product),
+        [(cauchy > product + CHECK_TOL * _scale(product),
           lambda t: InvariantViolation(
               f"cauchy {float(cauchy[t])!r} exceeds product {float(product[t])!r}"))]
     )
 
 
-def check_product_chain(pc: ProductChain, tol: float = 1e-9) -> None:
+def check_product_chain(pc: ProductChain) -> None:
     """Assert every ordering relation of the chains; raise InvariantViolation.
 
-    Both tolerances scale with max(1, |product|): absolute at unit scale,
+    Both tolerances, CHECK_TOL for the bounds and 1e-10 for the equalities
+    and the descent, scale with max(1, |product|): absolute at unit scale,
     relative for large observables.  A stacked chain is checked point by
     point, and the first failing point is reported.
     """
@@ -483,7 +475,7 @@ def check_product_chain(pc: ProductChain, tol: float = 1e-9) -> None:
     IS = np.concatenate([I, np.atleast_2d(pc.S_table)], axis=1)
     scale = _scale(product)
     eq_tol = 1e-10 * scale
-    tol = tol * scale
+    tol = CHECK_TOL * scale
     head = np.abs(IS[:, : n + 1 : n] - product) > np.maximum(eq_tol, tol)  # I_1, S_10
     # I_{k+1} > I_k and each S after its predecessor, but not S_10 after I_n
     up = IS[:, 1:] > IS[:, :-1] + eq_tol
@@ -550,15 +542,16 @@ def sum_bound_report(
     )
 
 
-def check_sum_report(report: SumBoundReport, tol: float = 1e-9) -> None:
+def check_sum_report(report: SumBoundReport) -> None:
     """Assert the sum dominates both of its lower bounds.
 
-    The tolerance scales with max(1, sum): absolute at unit scale, relative
-    for large observables.  A stacked report is checked point by point.
+    The tolerance CHECK_TOL scales with max(1, sum): absolute at unit
+    scale, relative for large observables.  A stacked report is checked
+    point by point.
     """
     total = np.atleast_1d(report.sum_value)
     para, norm = np.atleast_1d(report.parallelogram), np.atleast_1d(report.norm_bound)
-    tol = tol * _scale(total)
+    tol = CHECK_TOL * _scale(total)
     raise_first(
         [
             (total < para - tol,

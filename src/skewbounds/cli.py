@@ -284,41 +284,46 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = sys.stdout
     err = sys.stderr
-    try:
-        strategy = SearchStrategy(kind=args.strategy, n_samples=args.samples, seed=args.seed)
-        if args.out is not None:
-            out = open(args.out, "w", encoding="utf-8")
+    # numpy's floating-point warnings stay off stderr: overflow and invalid
+    # operations end in non-finite values, which the pipeline reports itself
+    with np.errstate(all="ignore"):
         try:
-            if args.command == "reproduce":
-                scenario = None
-                run_reproduce(args.example, strategy, out, err)
-            else:
-                scenario = parse_scenario(args.scenario)
-                if args.metric is not None:
-                    scenario = dataclasses.replace(
-                        scenario,
-                        metric_label=args.metric,
-                        metric=parse_metric(args.metric),
-                    )
-                if args.command == "compute":
-                    run_compute(scenario, strategy, out)
+            strategy = SearchStrategy(
+                kind=args.strategy, n_samples=args.samples, seed=args.seed
+            )
+            if args.out is not None:
+                out = open(args.out, "w", encoding="utf-8")
+            try:
+                if args.command == "reproduce":
+                    scenario = None
+                    run_reproduce(args.example, strategy, out, err)
                 else:
-                    run_sweep(scenario, strategy, out)
-        finally:
-            if out is not sys.stdout:
-                out.close()
-    except (ParseError, ValidationError) as exc:
-        err.write(f"error: {exc}\n")
-        return 1
-    except InvariantViolation as exc:
-        err.write(f"invariant violation: {exc}\n")
-        return 2
-    except ComplexityRefusal as exc:
-        err.write(f"refused: {exc}\n")
-        return 3
-    except SkewboundsError as exc:
-        err.write(f"error: {exc}\n")
-        return 1
+                    scenario = parse_scenario(args.scenario)
+                    if args.metric is not None:
+                        scenario = dataclasses.replace(
+                            scenario,
+                            metric_label=args.metric,
+                            metric=parse_metric(args.metric),
+                        )
+                    if args.command == "compute":
+                        run_compute(scenario, strategy, out)
+                    else:
+                        run_sweep(scenario, strategy, out)
+            finally:
+                if out is not sys.stdout:
+                    out.close()
+        except (ParseError, ValidationError) as exc:
+            err.write(f"error: {exc}\n")
+            return 1
+        except InvariantViolation as exc:
+            err.write(f"invariant violation: {exc}\n")
+            return 2
+        except ComplexityRefusal as exc:
+            err.write(f"refused: {exc}\n")
+            return 3
+        except SkewboundsError as exc:
+            err.write(f"error: {exc}\n")
+            return 1
     return 0
 
 

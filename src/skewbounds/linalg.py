@@ -3,6 +3,13 @@
 Everything here works on plain numpy arrays except ``DensityMatrix``, which
 carries its eigendecomposition so downstream code never re-diagonalizes the
 state.  All functions are pure and all returned arrays are freshly allocated.
+
+The eigenvectors are ``np.linalg.eigh``'s, as it returns them: no phase
+convention and no tie-breaking within a degenerate eigenspace.  Nothing
+downstream depends on that choice: every correlation
+sum_ij w(lam_i, lam_j) conj(A~_ij) B~_ij is unchanged by a phase on an
+eigenvector or by a unitary inside an eigenspace, since w is constant on
+each pair of eigenspaces.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .errors import (
 # Max-entry tolerances for Hermiticity/trace/unitarity checks and for
 # negative-eigenvalue slack.  Double-precision eigensolvers at d <= 16 land
 # around 1e-13; 1e-9 leaves headroom for user-supplied matrices.
-# ``is_hermitian`` scales TOL_HERM by max(1, max |M_ij|), since a matrix built
+# ``as_observable`` scales TOL_HERM by max(1, max |M_ij|), since a matrix built
 # as U diag U^dagger carries rounding relative to its entries.  A state's
 # entries are at most 1, so every check on a state stays at unit scale.
 TOL_HERM = 1e-9
@@ -32,90 +39,21 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def as_matrix(M) -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries."""
+def as_observable(M) -> np.ndarray:
+    """Validate a Hermitian observable, returned as a complex array.
+
+    The entries must be finite, and the matrix Hermitian to within TOL_HERM
+    times max(1, max |M_ij|).
+    """
     A = np.array(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise ValidationError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
         raise ValidationError("matrix entries must be finite")
-    return A
-
-
-def is_hermitian(M: np.ndarray, tol: float = TOL_HERM) -> bool:
-    """Hermitian to within tol times max(1, max |M_ij|)."""
-    scale = max(1.0, float(np.max(np.abs(M))))
-    return bool(np.max(np.abs(M - M.conj().T)) <= tol * scale)
-
-
-def as_observable(M) -> np.ndarray:
-    """Validate a Hermitian observable, returned as a complex array."""
-    A = as_matrix(M)
-    if not is_hermitian(A):
-        dev = float(np.max(np.abs(A - A.conj().T)))
+    dev = float(np.max(np.abs(A - A.conj().T)))
+    if dev > TOL_HERM * max(1.0, float(np.max(np.abs(A)))):
         raise NotHermitian(f"observable deviates from Hermitian by {dev:.3e}")
     return A
-
-
-def _sort_degenerate(w: np.ndarray, V: np.ndarray, scale: float) -> None:
-    """Sort the columns of each (near-)degenerate eigenvalue group of one point, in place.
-
-    Columns within a group are ordered by lexicographic comparison of their
-    (real, imag) entry sequences.
-    """
-    d = V.shape[0]
-    i = 0
-    while i < d:
-        j = i + 1
-        while j < d and abs(w[j] - w[i]) <= 1e-12 * scale:
-            j += 1
-        if j - i > 1:
-            keys = [
-                tuple(np.round(np.concatenate([V[:, c].real, V[:, c].imag]), 10))
-                for c in range(i, j)
-            ]
-            order = sorted(range(j - i), key=lambda c: keys[c])
-            V[:, i:j] = V[:, [i + c for c in order]]
-        i = j
-
-
-def _canonicalize_eig(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fix eigenvector phases and order degenerate columns deterministically.
-
-    Works on one decomposition or a stack of them, w (..., d) and V (..., d, d).
-    Each column is rotated so its largest-magnitude entry is real positive;
-    columns within a (near-)degenerate eigenvalue group are then sorted by
-    lexicographic comparison of their (real, imag) entry sequences.  The
-    sort runs only for the points where two adjacent eigenvalues are that
-    close, which every pure state with d >= 3 has.
-    """
-    d = w.shape[-1]
-    Vs, ws = V.reshape(-1, d, d), w.reshape(-1, d)
-    top = Vs[np.arange(len(Vs))[:, None], np.abs(Vs).argmax(axis=1), np.arange(d)]
-    # hypot rounds as the scalar abs does; np.abs of a complex array may not
-    Vs = Vs / (top / np.hypot(top.real, top.imag))[:, None, :]
-    scale = np.maximum(1.0, np.abs(ws).max(axis=1))
-    close = np.abs(ws[:, 1:] - ws[:, :-1]) <= 1e-12 * scale[:, None]
-    for t in np.flatnonzero(close.any(axis=1)):
-        _sort_degenerate(ws[t], Vs[t], float(scale[t]))
-    return w, Vs.reshape(V.shape)
-
-
-def eig_hermitian(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, unitary matrix of column eigenvectors)
-    with deterministic phase and tie-breaking conventions.
-    """
-    H = as_matrix(H)
-    if not is_hermitian(H):
-        dev = float(np.max(np.abs(H - H.conj().T)))
-        raise NotHermitian(f"matrix deviates from Hermitian by {dev:.3e}")
-    try:
-        w, V = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    return _canonicalize_eig(w, V)
 
 
 @dataclass(frozen=True)
@@ -123,7 +61,8 @@ class DensityMatrix:
     """A validated quantum state: PSD Hermitian, unit trace.
 
     Carries its eigendecomposition (eigenvalues ascending, clamped to [0, 1]
-    and renormalized; eigenvector columns unitary).  A stack of T states
+    and renormalized; eigenvector columns unitary, with whatever phases and
+    degenerate-eigenspace basis the eigensolver returns).  A stack of T states
     keeps the same fields with a leading axis: matrix and eigenvectors
     (T, d, d), eigenvalues (T, d).
     """
@@ -173,7 +112,6 @@ class DensityMatrix:
             w, V = np.linalg.eigh(stack)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(str(exc)) from exc
-        w, V = _canonicalize_eig(w, V)
         low = w.min(axis=1)
         raise_first(
             [(low < -TOL_PSD,

@@ -68,12 +68,12 @@ def expand(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return (flat @ basis.reshape(n, d * d).T).real
 
 
-def cholesky_psd(gamma: np.ndarray, clamp: float = _SQRT_CLAMP) -> np.ndarray:
+def cholesky_psd(gamma: np.ndarray) -> np.ndarray:
     """Upper-triangular C with C^dag C = gamma for Hermitian PSD gamma.
 
     Unlike the strictly-positive-definite factorization, rank deficiency is
-    allowed: whenever a pivot falls at or below clamp (relative to the
-    largest diagonal entry) the whole row is left zero and elimination
+    allowed: whenever a pivot falls at or below _SQRT_CLAMP (relative to
+    the largest diagonal entry) the whole row is left zero and elimination
     continues, so the result has exactly rank(gamma) nonzero rows.
 
     ``gamma`` may be one matrix (n, n) or a stack (T, n, n); the row loop
@@ -84,7 +84,7 @@ def cholesky_psd(gamma: np.ndarray, clamp: float = _SQRT_CLAMP) -> np.ndarray:
     G = gamma.reshape(-1, n, n)
     R = np.zeros(G.shape, dtype=complex)
     diag = G.real.diagonal(axis1=1, axis2=2)
-    floor = clamp * np.maximum(1.0, diag.max(axis=1, initial=0.0))
+    floor = _SQRT_CLAMP * np.maximum(1.0, diag.max(axis=1, initial=0.0))
     for i in range(n):
         col = R[:, :i, i]
         pivot = diag[:, i] - np.square(np.abs(col)).sum(axis=1)

@@ -30,7 +30,7 @@ from skewbounds.errors import (
     DomainError,
     InvariantViolation,
 )
-from skewbounds.linalg import DensityMatrix, eig_hermitian
+from skewbounds.linalg import DensityMatrix
 from skewbounds.metrics import KIND_SLD, KIND_WY, KIND_WYD, MetricSpec, weight_matrix
 
 
@@ -194,7 +194,7 @@ def reconstruct(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def psd_sqrt(gamma: np.ndarray, clamp: float = 1e-12) -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition, small eigenvalues -> 0."""
-    w, V = eig_hermitian(gamma)
+    w, V = np.linalg.eigh(gamma)
     w = np.where(w > clamp, w, 0.0)
     return (V * np.sqrt(w)) @ V.conj().T
 

@@ -608,6 +608,29 @@ class TestSweepErrors:
             "invariant violation: row 1 (theta=0.0789474): non-finite value in column product\n"
         )
 
+    def test_overflow_reported_without_numpy_warnings(self, tmp_path):
+        # K and the sum search overflow at entries of 1e200; the only
+        # stderr line is the pipeline's own report, in a fresh interpreter
+        # where numpy's RuntimeWarnings would otherwise print
+        text = """
+metric: "wy"
+state:
+  bloch: ["0.5*cos(theta)", "0.5*sin(theta)", 0.0]
+observables:
+  A: [[0.0, 1.0e+200], [1.0e+200, 0.0]]
+  B: [[1.0e+200, 0.0], [0.0, -1.0e+200]]
+  C: [[0.0, 1.0], [1.0, 0.0]]
+tasks:
+  - sum: {observables: [A, B, C]}
+  - sweep: {param: theta, range: [0.1, 1.0], steps: 3}
+"""
+        proc = run_cli("sweep", write(tmp_path, text))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "invariant violation: row 0 (theta=0.1): non-finite value in column sum\n"
+        )
+
 
 class TestReproduce:
     def test_example_2_report(self, capsys):

@@ -12,46 +12,50 @@ from skewbounds.linalg import (
     PAULI_Z,
     DensityMatrix,
     as_observable,
-    eig_hermitian,
 )
 
 
 class TestEigHermitian:
+    """The Hermitian eigendecomposition a state carries, as np.linalg.eigh returns it."""
+
     def test_identity(self):
-        w, V = eig_hermitian(np.eye(2))
-        assert np.allclose(w, [1, 1])
+        rho = DensityMatrix.from_matrix(np.eye(2) / 2)
+        w, V = rho.eigenvalues, rho.eigenvectors
+        assert np.allclose(w, [0.5, 0.5])
         assert np.allclose(V.conj().T @ V, np.eye(2))
 
     def test_sigma_z_already_diagonal(self):
-        w, _ = eig_hermitian(PAULI_Z)
-        assert np.allclose(w, [-1, 1])
+        rho = DensityMatrix.from_matrix((np.eye(2) + 0.5 * PAULI_Z) / 2)
+        assert np.allclose(rho.eigenvalues, [0.25, 0.75])
 
     def test_sigma_x_hand_diagonalization(self):
-        w, V = eig_hermitian(PAULI_X)
-        assert np.allclose(w, [-1, 1])
+        rho = DensityMatrix.from_matrix((np.eye(2) + 0.5 * PAULI_X) / 2)
+        w, V = rho.eigenvalues, rho.eigenvectors
+        assert np.allclose(w, [0.25, 0.75])
         # eigenvectors (1, -1)/sqrt(2) and (1, 1)/sqrt(2) up to phase
-        for col, lam in zip(V.T, w):
-            assert np.allclose(PAULI_X @ col, lam * col)
+        for col, sign in zip(V.T, (-1, 1)):
+            assert np.allclose(PAULI_X @ col, sign * col)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            DensityMatrix.from_matrix(np.array([[0.5, 0.5], [0, 0.5]], dtype=complex))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_reconstruction_and_unitarity(self, d):
         rng = np.random.default_rng(100 + d)
         for _ in range(20):
-            H = random_hermitian(rng, d)
-            w, V = eig_hermitian(H)
-            assert np.max(np.abs((V * w) @ V.conj().T - H)) <= 1e-10
+            M = random_density(rng, d, rank=int(rng.integers(1, d + 1))).matrix
+            rho = DensityMatrix.from_matrix(M)
+            w, V = rho.eigenvalues, rho.eigenvectors
+            assert np.max(np.abs((V * w) @ V.conj().T - M)) <= 1e-10
             assert np.max(np.abs(V.conj().T @ V - np.eye(d))) <= 1e-10
-            assert np.all(np.diff(w) >= -1e-12)
+            assert np.all(np.diff(w) >= 0)
 
     def test_deterministic_under_degeneracy(self):
-        H = np.diag([1.0, 1.0, 2.0]).astype(complex)
-        w1, V1 = eig_hermitian(H)
-        w2, V2 = eig_hermitian(H)
-        assert np.array_equal(V1, V2)
+        M = np.diag([0.25, 0.25, 0.5]).astype(complex)
+        a, b = DensityMatrix.from_matrix(M), DensityMatrix.from_matrix(M)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
 
 class TestMatrixPower:
@@ -78,7 +82,7 @@ class TestMatrixPower:
             lam = rng.uniform(0.05, 1.0, size=d)
             lam /= lam.sum()
             H = random_hermitian(rng, d)
-            _, V = eig_hermitian(H)
+            _, V = np.linalg.eigh(H)
             rho = DensityMatrix.from_matrix((V * lam) @ V.conj().T)
             for alpha in (0.25, 0.5, 0.75):
                 prod = matrix_power(rho, alpha) @ matrix_power(rho, 1 - alpha)
@@ -171,6 +175,5 @@ def test_hermitian_tolerance_scales_with_the_entries():
         U = random_unitary(rng, 4)
         A = 1e8 * ((U * rng.standard_normal(4)) @ U.conj().T)
         assert np.array_equal(as_observable(A), A)
-        eig_hermitian(A)
     with pytest.raises(NotHermitian):
         as_observable(1e8 * np.array([[0, 1], [1 + 1e-6, 0]]))

@@ -9,6 +9,7 @@ from oracles import pairwise_correlation, wyd_direct
 from skewbounds.errors import DimensionMismatch, DomainError
 from skewbounds.linalg import PAULI_X, PAULI_Z, DensityMatrix
 from skewbounds.bounds import product_chain
+from skewbounds.loo import loo_basis
 from skewbounds.metrics import make_metric
 from skewbounds.skewinfo import correlation, correlation_matrix, skew_information
 
@@ -174,6 +175,42 @@ class TestCorrelationMatrix:
         # I_1 comes from the rotated state's Gram factor: equal to the
         # factor's accuracy, the tolerance check_product_chain allows
         assert abs(pc_u.I_seq[0] - pc.product) <= 1e-9 * size
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 5),
+    kind=st.sampled_from(["wy", "sld", "wyd"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_independent_of_eigenvector_gauge(seed, d, kind):
+    """K and Gamma do not see the phases of the eigenvectors or the basis of a
+    degenerate eigenspace, so the state may carry eigh's output as it is."""
+    rng = np.random.default_rng(seed)
+    m = make_metric("wyd", 0.3) if kind == "wyd" else make_metric(kind)
+    # every rank, pure states included; the nonzero eigenvalues take two
+    # levels, so eigenspaces other than the kernel can be degenerate too
+    rank = int(rng.integers(1, d + 1))
+    lam = np.zeros(d)
+    lam[:rank] = rng.choice([1.0, 2.0], size=rank)
+    U = random_unitary(rng, d)
+    rho = DensityMatrix.from_matrix((U * (lam / lam.sum())) @ U.conj().T)
+    w, V = rho.eigenvalues, rho.eigenvectors
+    # a random unitary inside each group of equal eigenvalues, then a random
+    # phase on each column
+    G = np.zeros((d, d), dtype=complex)
+    bounds = [0, *(np.flatnonzero(np.diff(w) > 1e-12) + 1), d]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        G[lo:hi, lo:hi] = random_unitary(rng, hi - lo)
+    G *= np.exp(2j * np.pi * rng.random(d))
+    gauged = DensityMatrix(matrix=rho.matrix, eigenvalues=w, eigenvectors=V @ G)
+    assert np.max(np.abs((gauged.eigenvectors * w) @ gauged.eigenvectors.conj().T
+                         - rho.matrix)) <= 1e-12
+    observables = np.array([random_hermitian(rng, d) for _ in range(3)])
+    for family in (observables, loo_basis(d)):
+        K = correlation_matrix(rho, family, m)
+        K_gauged = correlation_matrix(gauged, family, m)
+        assert np.max(np.abs(K_gauged - K)) <= 1e-12 * max(1.0, np.max(np.abs(K)))
 
 
 class TestWydDirectOracle:

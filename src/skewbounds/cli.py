@@ -295,7 +295,6 @@ def main(argv=None) -> int:
                 out = open(args.out, "w", encoding="utf-8")
             try:
                 if args.command == "reproduce":
-                    scenario = None
                     run_reproduce(args.example, strategy, out, err)
                 else:
                     scenario = parse_scenario(args.scenario)

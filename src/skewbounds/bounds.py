@@ -326,7 +326,8 @@ def sum_bound_parallelogram(
 
     Returns (value, witness tuple of permutations).  For N = 2 the
     parallelogram law gives every tuple the value ||X1||^2 + ||X2||^2, which
-    is returned with the identity witness under either strategy.  For N >= 3
+    is returned with the identity witness under either strategy; it equals
+    I(A1) + I(A2), which sum_bound_report reads off K instead.  For N >= 3
     the bound is invariant under composing every permutation with a common
     one, so exhaustive enumeration fixes the first permutation to the
     identity and sweeps the remaining n! ** (N-1) tuples, of which it
@@ -530,12 +531,29 @@ def sum_bound_report(
 ) -> SumBoundReport:
     """The sum-form bounds of a family from its correlation matrix and moduli.
 
+    For N = 2 the parallelogram law gives every tuple the value
+    ||X1||^2 + ||X2||^2 = I(A1) + I(A2), so the bound is the trace of K that
+    gives the sum, bit for bit, and the witness is the identity pair.  Only
+    the length n of ``moduli`` is read then, so a caller without modulus
+    vectors may pass a placeholder of their shape.  For N >= 3 the bound is
+    searched by sum_bound_parallelogram.
+
     A stack, K (T, N, N) and moduli (T, N, n), gives (T,) arrays and one
     witness per point.
     """
-    para, witness = sum_bound_parallelogram(moduli, strategy)
+    K = np.asarray(K)
+    total = _value(np.trace(K, axis1=-2, axis2=-1).real)
+    if K.shape[-1] == 2:
+        identity = tuple(range(np.shape(moduli)[-1]))
+        para = total
+        witness = (
+            [identity, identity] if K.ndim == 2
+            else [[identity, identity] for _ in range(len(K))]
+        )
+    else:
+        para, witness = sum_bound_parallelogram(moduli, strategy)
     return SumBoundReport(
-        sum_value=_value(np.trace(K, axis1=-2, axis2=-1).real),
+        sum_value=total,
         parallelogram=para,
         witness_perms=witness,
         norm_bound=sum_bound_norm(K),

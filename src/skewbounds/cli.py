@@ -103,9 +103,10 @@ def _compute_rows(
 
     rho is the stack of states at the placeholder values.  One stacked
     correlation matrix K covers every observable the tasks name; the Gram
-    factor and the modulus vectors are built only for chain and sum tasks,
-    which are the ones that need them.  Each stage raises the error of the
-    first point that fails it, with ``row`` set.
+    factor and the modulus vectors are built only for chain tasks and sums
+    of three or more observables, which are the ones that need them: the
+    bound of a pair's sum is its trace of K.  Each stage raises the error of
+    the first point that fails it, with ``row`` set.
     """
     n = scenario.dim**2
     names, header, steps = _plan(scenario.tasks, n)
@@ -115,7 +116,8 @@ def _compute_rows(
     if names:
         observables = [scenario.observables[name] for name in names]
         K = correlation_matrix(rho, observables, m)
-        if any(isinstance(task, SumTask) or task.kind == "chain" for task, _, _ in steps):
+        if any(len(idx) > 2 if isinstance(task, SumTask) else task.kind == "chain"
+               for task, idx, _ in steps):
             basis = loo_basis(rho.dim)
             moduli = modulus_vector(
                 gram_matrix(rho, basis, m), expand(np.array(observables), basis)
@@ -123,7 +125,9 @@ def _compute_rows(
     for task, idx, cols in steps:
         K_task = K[:, idx][:, :, idx]
         if isinstance(task, SumTask):
-            report = sum_bound_report(K_task, moduli[:, idx], strategy=strategy)
+            # a pair's report reads only the shape of its moduli
+            X = moduli[:, idx] if len(idx) > 2 else np.broadcast_to(np.nan, (len(thetas), 2, n))
+            report = sum_bound_report(K_task, X, strategy=strategy)
             check_sum_report(report)
             rows[:, cols[0]] = report.sum_value
             rows[:, cols[1]] = report.parallelogram

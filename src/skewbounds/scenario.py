@@ -28,6 +28,7 @@ import ast
 import dataclasses
 import functools
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -365,10 +366,17 @@ _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # an entry).  Deeper input is refused.
 _MAX_NESTING = 32
 
-# What a SafeLoader resolves plain scalars with and builds them by.  Neither
-# keeps state between scalars.
-_RESOLVER = yaml.resolver.Resolver()
+# What a SafeLoader resolves plain scalars with and builds them by.  The
+# table is the one Resolver.resolve reads: (tag, pattern) pairs by a plain
+# scalar's first character, tried in order.  It has no wildcard (None) entry
+# and no path resolvers are registered, so it alone decides the tag.  The
+# constructor keeps no state between scalars.
+_IMPLICIT = yaml.resolver.Resolver.yaml_implicit_resolvers
 _CONSTRUCTOR = yaml.constructor.SafeConstructor()
+# Plain decimals with a point, no underscore and no sexagesimal part: the
+# float pattern is the first in the table to match them, and SafeConstructor
+# builds them as float(value) does.
+_DECIMAL = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?").fullmatch
 _TAG = "tag:yaml.org,2002:"
 _STR = _TAG + "str"
 _SCALAR_TAGS = {_TAG + t for t in ("null", "bool", "int", "float", "binary", "timestamp")}
@@ -380,69 +388,89 @@ _COLLECTION_TAGS = {
 
 
 def _scalar(event: yaml.ScalarEvent, source: str):
-    """The value a SafeLoader builds from a scalar event."""
-    tag = event.tag
+    """The value a SafeLoader builds from a scalar event.
+
+    Strings and plain decimals are built here; every other tag goes through
+    a ScalarNode and SafeConstructor, which raise their own errors.
+    """
+    tag, value = event.tag, event.value
     if tag is None or tag == "!":
         if not event.implicit[0]:
-            return event.value  # quoted: a string
-        tag = _RESOLVER.resolve(yaml.ScalarNode, event.value, event.implicit)
+            return value  # quoted: a string
+        if _DECIMAL(value):
+            return float(value)
+        for tag, pattern in _IMPLICIT.get(value[:1], ()):
+            if pattern.match(value):
+                break
+        else:
+            return value  # no pattern matches: a string
     if tag == _STR:
-        return event.value
+        return value
     if tag in _SPECIAL_KEYS:
         raise ParseError(
-            f"{source}: YAML {_SPECIAL_KEYS[tag]} {event.value!r} is not supported "
+            f"{source}: YAML {_SPECIAL_KEYS[tag]} {value!r} is not supported "
             "in scenario files"
         )
-    node = yaml.ScalarNode(tag, event.value, event.start_mark, event.end_mark)
+    node = yaml.ScalarNode(tag, value, event.start_mark, event.end_mark)
     # an unknown tag gets SafeConstructor's own error
     construct = _CONSTRUCTOR.yaml_constructors[tag if tag in _SCALAR_TAGS else None]
     try:
         return construct(_CONSTRUCTOR, node)
     except (ValueError, AttributeError, KeyError) as exc:
         short = tag.replace(_TAG, "!!")
-        raise ParseError(f"{source}: {event.value!r} is not a valid {short} value") from exc
+        raise ParseError(f"{source}: {value!r} is not a valid {short} value") from exc
 
 
 def _load(text: str, source: str):
     """The document of a YAML text as yaml.SafeLoader builds it, from one walk over its events.
 
-    The walk keeps the open collections on a list, so it needs no recursion.
-    It raises ParseError on input nested more than _MAX_NESTING collections
-    deep; on aliases, since one alias can make a document recursive and a
-    chain of them can nest it or multiply its size without bound, and tasks
-    name observables directly; on merge and value keys; on collection tags
-    other than !!seq and !!map; on unhashable keys; and on a second
-    document.  An empty stream gives None.
+    The walk pulls the parser's events one at a time and keeps the open
+    collections on a list, so it needs no recursion.  It raises ParseError
+    on input nested more than _MAX_NESTING collections deep; on aliases,
+    since one alias can make a document recursive and a chain of them can
+    nest it or multiply its size without bound, and tasks name observables
+    directly; on merge and value keys; on collection tags other than !!seq
+    and !!map; on unhashable keys; and on a second document.  An empty
+    stream gives None.
     """
     # the items of each open collection, innermost last, under the list of
     # documents; a mapping's items alternate key and value
     stack = [[]]
     mappings = []
-    for event in yaml.parse(text, Loader=_Loader):
-        if isinstance(event, yaml.ScalarEvent):
-            stack[-1].append(_scalar(event, source))
-        elif isinstance(event, yaml.CollectionStartEvent):
-            if event.tag not in _COLLECTION_TAGS[type(event)]:
-                tag = event.tag.replace(_TAG, "!!")
-                raise ParseError(f"{source}: tag {tag} is not supported in scenario files")
-            if len(stack) > _MAX_NESTING:
-                raise ParseError(f"{source}: nested more than {_MAX_NESTING} deep")
-            stack.append([])
-            mappings.append(isinstance(event, yaml.MappingStartEvent))
-        elif isinstance(event, yaml.CollectionEndEvent):
-            items = stack.pop()
-            if mappings.pop():
-                try:
-                    items = dict(zip(items[::2], items[1::2]))
-                except TypeError as exc:
-                    raise ParseError(f"{source}: unhashable mapping key ({exc})") from exc
-            stack[-1].append(items)
-        elif isinstance(event, yaml.AliasEvent):
-            raise ParseError(
-                f"{source}: alias *{event.anchor} is not supported in scenario files"
-            )
-        elif isinstance(event, yaml.DocumentStartEvent) and stack[0]:
-            raise ParseError(f"{source}: expected a single document, found a second one")
+    loader = _Loader(text)
+    try:
+        get_event = loader.get_event
+        while True:
+            event = get_event()
+            kind = type(event)
+            if kind is yaml.ScalarEvent:
+                stack[-1].append(_scalar(event, source))
+            elif kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
+                if event.tag not in _COLLECTION_TAGS[kind]:
+                    tag = event.tag.replace(_TAG, "!!")
+                    raise ParseError(f"{source}: tag {tag} is not supported in scenario files")
+                if len(stack) > _MAX_NESTING:
+                    raise ParseError(f"{source}: nested more than {_MAX_NESTING} deep")
+                stack.append([])
+                mappings.append(kind is yaml.MappingStartEvent)
+            elif kind is yaml.SequenceEndEvent or kind is yaml.MappingEndEvent:
+                items = stack.pop()
+                if mappings.pop():
+                    try:
+                        items = dict(zip(items[::2], items[1::2]))
+                    except TypeError as exc:
+                        raise ParseError(f"{source}: unhashable mapping key ({exc})") from exc
+                stack[-1].append(items)
+            elif kind is yaml.AliasEvent:
+                raise ParseError(
+                    f"{source}: alias *{event.anchor} is not supported in scenario files"
+                )
+            elif kind is yaml.DocumentStartEvent and stack[0]:
+                raise ParseError(f"{source}: expected a single document, found a second one")
+            elif kind is yaml.StreamEndEvent:
+                break
+    finally:
+        loader.dispose()
     return stack[0][0] if stack[0] else None
 
 
@@ -522,7 +550,7 @@ def parse_scenario(path) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_scenario_text(text, source=str(path))
 

@@ -486,3 +486,22 @@ class TestSumBoundReport:
             sum(skew_information(rho, A, WY) for A in obs), abs=1e-12
         )
         assert len(report.witness_perms) == 3
+
+    def test_pair_bound_is_the_sum(self):
+        # parallelogram law: every tuple of a pair gives I(A1) + I(A2).  Pure
+        # and low-rank states have rank-deficient Gram matrices, whose factor
+        # put the searched bound above the sum on some of them.
+        rng = np.random.default_rng(16)
+        for _ in range(60):
+            d = int(rng.integers(2, 5))
+            rho = random_density(rng, d, rank=int(rng.integers(1, d)))
+            m = WY if rng.integers(2) else make_metric("wyd", float(rng.uniform(0.05, 0.95)))
+            K, moduli = point_arrays(rho, [random_hermitian(rng, d) for _ in range(2)], m)
+            report = sum_bound_report(K, moduli)
+            assert report.parallelogram == report.sum_value
+            assert report.witness_perms == [tuple(range(d * d))] * 2
+            check_sum_report(report)
+            # only the moduli's shape is read
+            stacked = sum_bound_report(K[None], np.full((1, *moduli.shape), np.nan))
+            assert stacked.parallelogram.tobytes() == np.array([report.sum_value]).tobytes()
+            assert stacked.witness_perms == [report.witness_perms]

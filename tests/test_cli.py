@@ -160,6 +160,15 @@ class TestCompute:
         assert vals["sum"] >= vals["LB_thm3"] - 1e-9
         assert vals["sum"] >= vals["LB_norm"] - 1e-9
 
+    def test_pair_sum_bound_is_the_sum(self, capsys):
+        # a rank-one qutrit state under wyd: the bound once taken from the
+        # rank-deficient Gram factor was 2.4000054263737236, above the sum
+        # 2.4000054107327036, and compute exited 2
+        assert main(["compute", str(DATA / "sum_n2_pure_qutrit.yaml")]) == 0
+        header, (row,) = read_csv(capsys)
+        assert header == ["theta", "sum", "LB_thm3", "LB_norm"]
+        assert row[2] == row[1] == "2.40000541073"
+
     def test_metric_override(self, tmp_path, capsys):
         path = write(tmp_path, QUBIT_CHAIN)
         assert main(["--metric", "sld", "compute", path]) == 0
@@ -317,6 +326,20 @@ class TestPointWork:
         assert cholesky == []
         assert len(weights) == 1
 
+    def test_pair_sum_builds_no_factor(self, tmp_path, capsys, monkeypatch):
+        # the bound of a pair's sum is its trace of K, the sum itself
+        built = [
+            self.counting(monkeypatch, skewbounds.cli, name)
+            for name in ("loo_basis", "gram_matrix", "expand", "modulus_vector")
+        ]
+        weights = self.counting(monkeypatch, skewbounds.skewinfo, "weight_matrix")
+        text = QUBIT_CHAIN.replace("  - chain: {A: A, B: B}", "  - sum: {observables: [A, B]}")
+        rows = self.run_sweep(tmp_path, capsys, text)
+        assert len(rows) == 5
+        assert all(row[2] == row[1] for row in rows)
+        assert built == [[], [], [], []]
+        assert len(weights) == 1
+
     def kernel_shapes(self, monkeypatch):
         """The (points, tuples) of each call of the sum-bound value kernel."""
         shapes = []
@@ -438,6 +461,16 @@ class TestBlocks:
 class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["compute", "/nonexistent/file.yaml"]) == 1
+
+    def test_undecodable_file(self, tmp_path, capsys):
+        # once an uncaught UnicodeDecodeError traceback
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"metric: wy\n\xff\xfe bad\n")
+        assert main(["compute", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: ")
+        assert "can't decode byte 0xff" in captured.err
 
     def test_validation_error(self, tmp_path, capsys):
         bad = QUBIT_CHAIN.replace('"0.8*cos(theta)"', "1.8")

@@ -303,6 +303,33 @@ class TestLoader:
     def test_empty_stream(self):
         assert loaded("# nothing\n") == ["None"] * len(LOADERS)
 
+    # plain decimals _load builds with float() itself; every other scalar
+    # goes through the resolver's patterns and, unless it is a string,
+    # SafeConstructor
+    DECIMALS = ["1.5", "-0.0", "+1.", "5.", "1.5E+3", "-1.5e-07", "1.5e+300"]
+    OTHER_NUMBERS = ["1e5", "1.5e3", "1_0.5", "1:30.5", ".inf", "-.inf", ".NaN", ".5",
+                     "0x10", "017", "1:30"]
+    OTHER_SCALARS = ["yes", "No", "~", "null", "", "2001-12-14", "'1.5'", '"1.5"']
+
+    @pytest.mark.parametrize("value", DECIMALS + OTHER_NUMBERS + OTHER_SCALARS)
+    def test_scalar_resolution(self, value):
+        text = f"theta: {value}\n"
+        assert loaded(text) == [safe_loaded(text)] * len(LOADERS)
+        assert bool(skewbounds.scenario._DECIMAL(value)) == (value in self.DECIMALS)
+
+    @given(st.from_regex(r"[-+]?[0-9]+\.[0-9]*([eE][-+][0-9]+)?", fullmatch=True))
+    @settings(max_examples=200, deadline=None)
+    def test_decimals_load_alike(self, value):
+        text = f"- {value}\n"
+        assert loaded(text) == [safe_loaded(text)] * len(LOADERS)
+
+    def test_resolver_table_alone_decides(self):
+        # _scalar reads the implicit table by first character only: no
+        # wildcard patterns and no path resolvers may apply
+        assert None not in skewbounds.scenario._IMPLICIT
+        assert not yaml.SafeLoader.yaml_path_resolvers
+        assert skewbounds.scenario._IMPLICIT is yaml.SafeLoader.yaml_implicit_resolvers
+
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
 class TestNestingGuard:

@@ -55,6 +55,8 @@ class SearchStrategy:
             raise ValidationError(f"unknown strategy kind {self.kind!r}")
         if self.n_samples < 0:
             raise ValidationError(f"sample count {self.n_samples} is negative")
+        if self.seed < 0:
+            raise ValidationError(f"seed {self.seed} is negative")
 
 
 def _as_modulus_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -175,27 +177,29 @@ def best_permuted_product_bound(
     return float(V[i, j, k, l]), (completed(i, j), completed(k, l)), index
 
 
+def _spread(s: np.ndarray) -> np.ndarray:
+    """sum_{i<j} (s_ij - mean)^2 / (2N - 2) of the M = N(N-1)/2 pair values on the first axis.
+
+    Sums run in pair order and squares are c * c, as a loop over floats forms them.
+    """
+    mean = sum(s) / len(s)
+    # 8M + 1 = (2N - 1)^2
+    return sum(c * c for c in s - mean) / (math.isqrt(8 * len(s) + 1) - 1)
+
+
 def _tuple_values(P: np.ndarray) -> np.ndarray:
-    """The sum-form lower bound of permuted families, P (T, N, k, n) to values (T, k).
+    """Minus the spread of the pair distances of permuted families, P (T, N, k, n) to (T, k).
 
-    P[t, i, c] is the vector Xi^pi of observable i at point t under
-    candidate tuple c.
-
-    (1/(2N-2)) [ sum_{i<j} ||Xi^pi + Xj^pj||^2
-                 + (2/(N(N-1))) (sum_{i<j} ||Xi^pi - Xj^pj||)^2 ]
-
-    The pairs are accumulated in the order i < j, each norm over the
-    contiguous last axis, so each value is the same floating-point sum a
-    tuple-at-a-time loop would form.
+    P[t, i, c] is Xi^pi at point t under candidate tuple c; s_ij = ||Xi^pi - Xj^pj||.
+    Squared norms add the components in order: numpy's sum over the last axis
+    changes its order with P's memory layout, and so with the number of points.
     """
     N = P.shape[1]
-    plus = np.zeros(P.shape[:1] + P.shape[2:-1])
-    minus = np.zeros_like(plus)
-    for i in range(N):
-        for j in range(i + 1, N):
-            plus += np.sum((P[:, i] + P[:, j]) ** 2, axis=-1)
-            minus += np.sqrt(np.sum((P[:, i] - P[:, j]) ** 2, axis=-1))
-    return (plus + (2.0 / (N * (N - 1))) * minus**2) / (2.0 * N - 2.0)
+    s = np.empty((N * (N - 1) // 2,) + P.shape[:1] + P.shape[2:-1])
+    for m, (i, j) in enumerate(itertools.combinations(range(N), 2)):
+        d = P[:, i] - P[:, j]
+        s[m] = np.sqrt(sum(c * c for c in np.moveaxis(d, -1, 0)))
+    return -_spread(s)
 
 
 @functools.cache
@@ -259,10 +263,12 @@ def _scan(X, points, chunks, values, index, sorted_X=None) -> None:
 
 
 def _best_tuples(X: np.ndarray, strategy: SearchStrategy) -> tuple[np.ndarray, list]:
-    """First maximum of the tuple values of each family of a stack X (T, N, n), N >= 3.
+    """First least spread of the pair distances of each family of a stack X (T, N, n).
 
-    Returns the (T,) values and the T witnesses, each a list of N
-    permutations.  Candidates, in search order:
+    Returns the (T,) spreads and the T witnesses, each a list of N
+    permutations.  One pair has no spread under any tuple, so for N = 2 the
+    spread is 0 with the identity witness, and X is not read.  Beyond
+    EXHAUSTIVE_CAP candidates a search is refused.  For N >= 3, in order:
 
     - exhaustive: the first permutation is the identity, the others run over
       n! ** (N-1) tuples in itertools.product order.  Permuting a vector's
@@ -274,15 +280,19 @@ def _best_tuples(X: np.ndarray, strategy: SearchStrategy) -> tuple[np.ndarray, l
       ``n_samples`` seeded draws, the same at every point.
     """
     T, N, n = X.shape
+    if N == 2:
+        identity = tuple(range(n))
+        return np.zeros(T), [[identity, identity] for _ in range(T)]
+    exhaustive = strategy.kind == "exhaustive"
+    count = math.factorial(n) ** (N - 1) if exhaustive else strategy.n_samples + 2
+    if count > EXHAUSTIVE_CAP:
+        raise ComplexityRefusal(
+            f"{strategy.kind} tuple search over {count} candidates exceeds cap "
+            f"{EXHAUSTIVE_CAP}" + ("; use the sampled strategy" if exhaustive else "")
+        )
     values = np.full(T, -np.inf)
     index = np.zeros(T, dtype=np.intp)
-    if strategy.kind == "exhaustive":
-        count = math.factorial(n) ** (N - 1)
-        if count > EXHAUSTIVE_CAP:
-            raise ComplexityRefusal(
-                f"exhaustive tuple search over {count} candidates exceeds cap "
-                f"{EXHAUSTIVE_CAP}; use the sampled strategy"
-            )
+    if exhaustive:
         witness = np.empty((T, N, n), dtype=np.intp)
         zero = (X[:, 1:] == 0).reshape(T, -1)
         todo = np.ones(T, dtype=bool)
@@ -303,7 +313,7 @@ def _best_tuples(X: np.ndarray, strategy: SearchStrategy) -> tuple[np.ndarray, l
             _scan(X, points, chunks, values, index)
             witness[points] = _product_rows(lists, index[points])
     else:
-        rows = np.empty((strategy.n_samples + 2, N, n), dtype=np.intp)
+        rows = np.empty((count, N, n), dtype=np.intp)
         rows[:2] = np.arange(n)  # row 1 stands for each point's sorting tuple
         # permuted shuffles each length-n row in C order, drawing from the
         # stream exactly as successive rng.permutation(n) calls do
@@ -316,49 +326,49 @@ def _best_tuples(X: np.ndarray, strategy: SearchStrategy) -> tuple[np.ndarray, l
         _scan(X, np.arange(T), chunks, values, index, np.take_along_axis(X, order, -1))
         witness = rows[index]
         witness[index == 1] = order[index == 1]
-    return values, [[tuple(p) for p in w] for w in witness.tolist()]
+    return -values, [[tuple(p) for p in w] for w in witness.tolist()]
 
 
-def sum_bound_parallelogram(
-    moduli, strategy: SearchStrategy = SearchStrategy()
-) -> tuple[float, list[tuple[int, ...]]]:
-    """Best parallelogram-law sum bound over candidate permutation tuples.
-
-    Returns (value, witness tuple of permutations).  For N = 2 the
-    parallelogram law gives every tuple the value ||X1||^2 + ||X2||^2, which
-    is returned with the identity witness under either strategy; it equals
-    I(A1) + I(A2), which sum_bound_report reads off K instead.  For N >= 3
-    the bound is invariant under composing every permutation with a common
-    one, so exhaustive enumeration fixes the first permutation to the
-    identity and sweeps the remaining n! ** (N-1) tuples, of which it
-    evaluates one per set of identical tuples (see _best_tuples).  The cap
-    counts all n! ** (N-1).  The witness is the first maximum in search
-    order.
-
-    ``moduli`` holds N vectors of one length n, or is a stack (T, N, n) of
-    such families.  A stack gives a (T,) array of values and a list of T
-    witnesses.  One family is searched as a stack of one: the candidates are
-    evaluated for a whole stack at once, in array passes of bounded size.
-    """
+def _least_spread(moduli, strategy: SearchStrategy) -> tuple[float | np.ndarray, list]:
+    """The least spread of the moduli (a float, or (T,) for a stack) and its witness."""
     try:
         X = np.asarray(moduli, dtype=float)
     except ValueError as exc:
         raise LengthMismatch("modulus vectors must share one length") from exc
     if X.ndim not in (2, 3):
         raise LengthMismatch("modulus vectors must share one length")
-    stack = X if X.ndim == 3 else X[None]
-    T, N, n = stack.shape
-    if N < 2:
+    if X.shape[-2] < 2:
         raise DimensionMismatch("sum bound needs at least 2 observables")
-    if N == 2:
-        identity = tuple(range(n))
-        values = np.sum(stack[:, 0] ** 2, axis=-1) + np.sum(stack[:, 1] ** 2, axis=-1)
-        witnesses = [[identity, identity] for _ in range(T)]
-    else:
-        values, witnesses = _best_tuples(stack, strategy)
-    if X.ndim == 2:
-        return float(values[0]), witnesses[0]
-    return values, witnesses
+    if X.ndim == 3:
+        return _best_tuples(X, strategy)
+    spread, witnesses = _best_tuples(X[None], strategy)
+    return float(spread[0]), witnesses[0]
+
+
+def sum_bound_parallelogram(
+    moduli, strategy: SearchStrategy = SearchStrategy()
+) -> tuple[float, list[tuple[int, ...]]]:
+    """Best Theorem 3 (parallelogram-law) sum bound over candidate permutation tuples.
+
+    Returns (value, witness tuple of permutations).  With the M = N(N-1)/2
+    pair distances s_ij = ||Xi^pi - Xj^pj||, the parallelogram law turns the
+    paper's (1/(2N-2)) [sum_{i<j} ||Xi^pi + Xj^pj||^2 + (sum_{i<j} s_ij)^2 / M]
+    into sum_i ||Xi||^2 minus the spread sum_{i<j} (s_ij - mean s)^2 / (2N-2).
+    The value is sum_i ||Xi||^2 minus the least spread of the candidates,
+    and the witness the first tuple in search order that has it.  For N = 2
+    that is ||X1||^2 + ||X2||^2 and the identity under either strategy.  For
+    N >= 3 exhaustive enumeration fixes the first permutation to the
+    identity, since a common permutation changes no distance, and sweeps
+    the other n! ** (N-1) tuples, evaluating one per set of identical
+    tuples (see _best_tuples).  The cap counts all n! ** (N-1), or the
+    n_samples + 2 candidates of a sampled search.
+
+    ``moduli`` holds N vectors of one length n, or is a stack (T, N, n) of
+    such families, searched at once, which gives (T,) values and T witnesses.
+    """
+    spread, witness = _least_spread(moduli, strategy)
+    X = np.asarray(moduli, dtype=float)
+    return _value(np.sum(X * X, axis=(-2, -1)) - spread), witness
 
 
 @functools.cache
@@ -373,11 +383,13 @@ def _pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
 def sum_bound_norm(K) -> float:
     """The matrix-norm baseline bound from the correlation matrix K of the family.
 
-    max over x in {0,1} of (1/(2N-2)) [ (2/(N(N-1)))
-    (sum_{i<j} sqrt(I(A_i + (-1)^x A_j)))^2 + sum_{i<j} I(A_i + (-1)^(x+1) A_j) ],
-    with I(A_i + s A_j) = K_ii + K_jj + 2 s Re K_ij, clamped at 0 against
-    rounding.  For N = 2 both signs give K_00 + K_11.  A stack K (T, N, N)
-    gives a (T,) array.
+    The paper's baseline is the larger over a sign s = +1, -1 of
+    (1/(2N-2)) [ (2/(N(N-1))) (sum_{i<j} t_ij)^2 + sum_{i<j} I(A_i - s A_j) ]
+    with t_ij = sqrt(I(A_i + s A_j)), I(A_i + s A_j) = K_ii + K_jj + 2 s Re K_ij
+    clamped at 0.  As I(A_i - s A_j) = 2 K_ii + 2 K_jj - t_ij^2, it is trace K
+    minus the spread of the t_ij (see _spread), with s = -1 taken only for a
+    strictly smaller spread: at most the sum, and equal to it for N = 2.  A
+    stack K (T, N, N) gives a (T,) array.
     """
     K = np.asarray(K)
     N = K.shape[-1]
@@ -386,16 +398,12 @@ def sum_bound_norm(K) -> float:
     i, j = _pairs(N)
     diag = K.real.diagonal(axis1=-2, axis2=-1)
     cross = 2.0 * K.real[..., i, j]
-    plus = np.maximum(diag[..., i] + diag[..., j] + cross, 0.0)
-    minus = np.maximum(diag[..., i] + diag[..., j] - cross, 0.0)
-    pair_weight = 2.0 / (N * (N - 1))
     first, second = (
-        (pair_weight * np.sum(np.sqrt(root), axis=-1) ** 2 + np.sum(lin, axis=-1))
-        / (2.0 * N - 2.0)
-        for root, lin in ((plus, minus), (minus, plus))
+        _spread(np.sqrt(np.maximum(diag[..., i] + diag[..., j] + c, 0.0)).T)
+        for c in (cross, -cross)
     )
-    # the first of the two unless the second is larger, as max() picks
-    return _value(np.where(second > first, second, first))
+    total = np.trace(K, axis1=-2, axis2=-1).real
+    return _value(total - np.where(second < first, second, first))
 
 
 @dataclass(frozen=True)
@@ -531,30 +539,21 @@ def sum_bound_report(
 ) -> SumBoundReport:
     """The sum-form bounds of a family from its correlation matrix and moduli.
 
-    For N = 2 the parallelogram law gives every tuple the value
-    ||X1||^2 + ||X2||^2 = I(A1) + I(A2), so the bound is the trace of K that
-    gives the sum, bit for bit, and the witness is the identity pair.  Only
-    the length n of ``moduli`` is read then, so a caller without modulus
-    vectors may pass a placeholder of their shape.  For N >= 3 the bound is
-    searched by sum_bound_parallelogram.
+    The sum is the trace of K, and each bound is that trace minus a spread
+    that is never negative (see sum_bound_parallelogram and sum_bound_norm),
+    so neither exceeds the sum in floating point.  For N = 2 both equal the
+    sum bit for bit, and only the length n of ``moduli`` is read, so a
+    caller without modulus vectors may pass a placeholder of their shape.
 
     A stack, K (T, N, N) and moduli (T, N, n), gives (T,) arrays and one
     witness per point.
     """
     K = np.asarray(K)
     total = _value(np.trace(K, axis1=-2, axis2=-1).real)
-    if K.shape[-1] == 2:
-        identity = tuple(range(np.shape(moduli)[-1]))
-        para = total
-        witness = (
-            [identity, identity] if K.ndim == 2
-            else [[identity, identity] for _ in range(len(K))]
-        )
-    else:
-        para, witness = sum_bound_parallelogram(moduli, strategy)
+    spread, witness = _least_spread(moduli, strategy)
     return SumBoundReport(
         sum_value=total,
-        parallelogram=para,
+        parallelogram=_value(total - spread),
         witness_perms=witness,
         norm_bound=sum_bound_norm(K),
     )

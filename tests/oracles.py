@@ -3,6 +3,9 @@
 - Tuple-at-a-time searches for the permutation bounds: every candidate is
   built as Python tuples and scored one at a time, so the array kernels can
   be required to reproduce them value for value and witness for witness.
+  The sum search scores the spread of a tuple's pair distances, as the
+  package does; ``parallelogram_value`` keeps the paper's form of the same
+  bound as a reference for that identity.
 - Per-pair forms of the correlation measure and the norm baseline, one
   eigenbasis rotation per call, against which the correlation-matrix core
   is checked.
@@ -35,7 +38,7 @@ from skewbounds.metrics import KIND_SLD, KIND_WY, KIND_WYD, MetricSpec, weight_m
 
 
 def parallelogram_value(vectors, perms) -> float:
-    """The sum-form lower bound for one tuple of permutations.
+    """The sum-form lower bound for one tuple of permutations, as the paper writes it.
 
     (1/(2N-2)) [ sum_{i<j} ||Xi^pi + Xj^pj||^2
                  + (2/(N(N-1))) (sum_{i<j} ||Xi^pi - Xj^pj||)^2 ]
@@ -51,8 +54,35 @@ def parallelogram_value(vectors, perms) -> float:
     return (plus + (2.0 / (N * (N - 1))) * minus**2) / (2.0 * N - 2.0)
 
 
+def tuple_spread(vectors, perms) -> float:
+    """sum_{i<j} (s_ij - mean s)^2 / (2N-2) of s_ij = ||Xi^pi - Xj^pj|| for one tuple.
+
+    The bound of the tuple is sum_i ||Xi||^2 minus this spread.  Sums run
+    in index order, one float at a time, and every square is c * c.
+    """
+    N = len(vectors)
+    Xp = [[float(x) for x in np.asarray(v)[list(p)]] for v, p in zip(vectors, perms)]
+    s = []
+    for i in range(N):
+        for j in range(i + 1, N):
+            norm2 = 0.0
+            for a, b in zip(Xp[i], Xp[j]):
+                c = a - b
+                norm2 += c * c
+            s.append(math.sqrt(norm2))
+    mean = s[0]
+    for v in s[1:]:
+        mean += v
+    mean /= len(s)
+    spread = 0.0
+    for v in s:
+        c = v - mean
+        spread += c * c
+    return spread / (2.0 * N - 2.0)
+
+
 def loop_sum_bound(moduli, strategy: SearchStrategy = SearchStrategy()):
-    """First maximum of ``parallelogram_value`` over the candidate tuples.
+    """sum_i ||Xi||^2 minus the first least ``tuple_spread`` over the candidate tuples.
 
     Exhaustive: the identity followed by every tuple of itertools.product
     over the permutations.  Sampled: the identity tuple, the stable sorting
@@ -76,14 +106,15 @@ def loop_sum_bound(moduli, strategy: SearchStrategy = SearchStrategy()):
         ]
         for _ in range(strategy.n_samples):
             candidates.append(tuple(tuple(rng.permutation(n)) for _ in range(N)))
-    best = -np.inf
+    best = np.inf
     witness = None
     for tup in candidates:
-        val = parallelogram_value(vectors, tup)
-        if val > best:
-            best = val
+        spread = tuple_spread(vectors, tup)
+        if spread < best:
+            best = spread
             witness = [tuple(int(i) for i in p) for p in tup]
-    return float(best), witness
+    X = np.array(vectors)
+    return float(np.sum(X * X)) - best, witness
 
 
 def enumerated_product_bound(x, y):

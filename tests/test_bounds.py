@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import point_arrays, random_density, random_hermitian, random_unitary
 from oracles import (
@@ -14,6 +14,7 @@ from oracles import (
     pairwise_sum_bound_norm,
     parallelogram_value,
     spq_step_identities,
+    tuple_spread,
 )
 from skewbounds.bounds import (
     SearchStrategy,
@@ -324,6 +325,8 @@ class TestParallelogramSumBound:
             SearchStrategy(kind="annealing")
         with pytest.raises(ValidationError):
             SearchStrategy(kind="sampled", n_samples=-1)
+        with pytest.raises(ValidationError):
+            SearchStrategy(kind="sampled", seed=-1)
 
 
 class TestSearchEquivalence:
@@ -335,6 +338,17 @@ class TestSearchEquivalence:
         st.integers(0, 2**16),
     )
     @settings(max_examples=40, deadline=None)
+    # the paper's form squared a Python float with ** (libm pow, half an ulp
+    # off here), and the kernel and the loop differed in the last bit
+    @example(
+        vecs=[
+            [0.0, 0.0, 0.0, 1.0656124282827204],
+            [2.4838550680246323, 0.2, 3.0, 2.750625626892967],
+            [1.3144926892798487, 1.1, 2.0, 2.0],
+        ],
+        kind="sampled",
+        seed=44905,
+    )
     def test_kernel_equals_loop(self, vecs, kind, seed):
         vecs = [np.array(v) for v in vecs]
         if kind == "exhaustive" and len(vecs) == 4:
@@ -348,6 +362,30 @@ class TestSearchEquivalence:
         # 13,824 tuples: about a second per example in the loop
         vecs = [np.array(v) for v in vecs]
         assert sum_bound_parallelogram(vecs) == loop_sum_bound(vecs)
+
+    @given(
+        st.integers(3, 5).flatmap(
+            lambda N: st.integers(2, 5).flatmap(
+                lambda n: st.lists(
+                    st.tuples(
+                        st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n),
+                        st.permutations(range(n)),
+                    ),
+                    min_size=N,
+                    max_size=N,
+                )
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_spread_form_is_the_paper_form(self, family):
+        # parallelogram law: the paper's value of a tuple is sum_i ||Xi||^2
+        # minus the spread of its pair distances
+        vecs = [np.array(v) for v, _ in family]
+        perms = [p for _, p in family]
+        want = parallelogram_value(vecs, perms)
+        got = sum(float(np.sum(v * v)) for v in vecs) - tuple_spread(vecs, perms)
+        assert abs(got - want) <= 1e-12 * max(1.0, want)
 
     @given(tie_prone_vectors(st.just(2), st.integers(2, 5)))
     @settings(max_examples=40, deadline=None)
@@ -505,3 +543,31 @@ class TestSumBoundReport:
             stacked = sum_bound_report(K[None], np.full((1, *moduli.shape), np.nan))
             assert stacked.parallelogram.tobytes() == np.array([report.sum_value]).tobytes()
             assert stacked.witness_perms == [report.witness_perms]
+
+    def test_bounds_never_exceed_the_sum(self):
+        # moduli one part in 1e8 too long, as a rounded Gram factor can give
+        # them, put the bound searched over them above the sum of K
+        rng = np.random.default_rng(3)
+        rho = random_density(rng, 2)
+        A = random_hermitian(rng, 2)
+        K, X = point_arrays(rho, [A, A, A], WY)
+        report = sum_bound_report(K, X * (1 + 1e-8))
+        assert report.parallelogram <= report.sum_value
+        assert report.norm_bound <= report.sum_value
+        check_sum_report(report)
+
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_at_most_the_trace(self, N, seed, scale):
+        # both bounds are the trace of K minus a spread, whatever K and the
+        # moduli are; for a pair both spreads are 0
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        K = scale * (G @ G.conj().T)
+        moduli = rng.uniform(0.0, 2.0, size=(N, 4))
+        report = sum_bound_report(K, moduli, SearchStrategy("sampled", n_samples=20))
+        assert report.sum_value == np.trace(K).real
+        assert report.norm_bound <= report.sum_value
+        assert report.parallelogram <= report.sum_value
+        if N == 2:
+            assert report.parallelogram == report.norm_bound == report.sum_value

@@ -536,6 +536,28 @@ tasks:""",
         path = write(tmp_path, QUTRIT_SUM)
         assert main(["--strategy", "sampled", "--samples", "-1", "compute", path]) == 1
 
+    def test_negative_seed(self, tmp_path, capsys):
+        # once numpy's "expected non-negative integer" traceback
+        path = write(tmp_path, QUBIT_CHAIN_SUM3)
+        assert main(["--strategy", "sampled", "--seed", "-1", "compute", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed -1 is negative\n"
+
+    @pytest.mark.parametrize("samples", [10**15, 10**30])
+    def test_oversized_sample(self, tmp_path, capsys, samples):
+        # once uncaught: numpy cannot allocate 10**15 candidate rows (85 PiB),
+        # and 10**30 exceeds its largest dimension
+        path = write(tmp_path, QUBIT_CHAIN_SUM3)
+        argv = ["--strategy", "sampled", "--samples", str(samples), "compute", path]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"refused: sampled tuple search over {samples + 2} candidates exceeds "
+            "cap 1000000\n"
+        )
+
     @pytest.mark.parametrize(
         "sweep",
         [

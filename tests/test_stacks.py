@@ -123,6 +123,21 @@ def test_stacked_sum_search_matches_loop(X, kind, seed):
         assert witnesses[t] == witness
 
 
+def test_block_size_leaves_sum_search_alone():
+    # at n >= 8, numpy's sum over the last axis of the gathered families
+    # changed its order with the number of points in a pass, so a family's
+    # value moved in the last bit with the size of its block
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        N, n = 3 + seed % 2, 8 + seed % 3
+        X = rng.uniform(0.0, 2.0, size=(3, N, n))
+        strategy = SearchStrategy(kind="sampled", n_samples=20, seed=seed)
+        values, witnesses = sum_bound_parallelogram(X, strategy)
+        for t, family in enumerate(X):
+            assert (values[t], witnesses[t]) == sum_bound_parallelogram(family, strategy)
+            assert (values[t], witnesses[t]) == loop_sum_bound(family, strategy)
+
+
 def violation(fn):
     try:
         fn()

@@ -230,12 +230,13 @@ def _product_rows(lists: list[np.ndarray], flat: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _scan(X, points, chunks, values, index, sorted_X=None) -> None:
+def _scan(X, points, chunks, values, index, witness, sorted_X=None) -> None:
     """Raise values[points] to the first maximum over the candidate chunks, in order.
 
     X is the stack (T, N, n); ``chunks`` yields arrays (k, N, n) of
-    candidate tuples shared by the points, and ``index`` receives the
-    position of each point's maximum in the concatenated chunks.  Each pass
+    candidate tuples shared by the points, ``index`` receives the position
+    of each point's maximum in the concatenated chunks and ``witness`` its
+    tuple, so no chunk is kept after its pass.  Each pass
     gathers at most _CHUNK_ROWS (point, tuple) pairs.  ``sorted_X``, when
     given, holds each point's vectors permuted by its own sorting tuple,
     which replaces candidate 1.
@@ -259,7 +260,26 @@ def _scan(X, points, chunks, values, index, sorted_X=None) -> None:
             better = (v > values[pts]) | (np.isnan(v) & ~np.isnan(values[pts]))
             values[pts[better]] = v[better]
             index[pts[better]] = start + r[better]
+            witness[pts[better]] = rows[r[better]]
         start += len(rows)
+
+
+def _sampled_rows(count: int, N: int, n: int, seed: int):
+    """The candidate tuples of a sampled search, in chunks (k, N, n) of at most _CHUNK_ROWS.
+
+    Two identity tuples, the second standing for each point's sorting
+    tuple, then count - 2 seeded draws.  permuted shuffles each length-n row
+    in C order, drawing from the stream exactly as successive
+    rng.permutation(n) calls do, so the draws of successive chunks are the
+    rows of one draw of them all.
+    """
+    rng = np.random.default_rng(seed)
+    for s in range(0, count, _CHUNK_ROWS):
+        rows = np.empty((min(_CHUNK_ROWS, count - s), N, n), dtype=np.intp)
+        head = 2 if s == 0 else 0
+        rows[:head] = np.arange(n)
+        rng.permuted(np.broadcast_to(np.arange(n), rows[head:].shape), axis=-1, out=rows[head:])
+        yield rows
 
 
 def _best_tuples(X: np.ndarray, strategy: SearchStrategy) -> tuple[np.ndarray, list]:
@@ -292,8 +312,8 @@ def _best_tuples(X: np.ndarray, strategy: SearchStrategy) -> tuple[np.ndarray, l
         )
     values = np.full(T, -np.inf)
     index = np.zeros(T, dtype=np.intp)
+    witness = np.empty((T, N, n), dtype=np.intp)
     if exhaustive:
-        witness = np.empty((T, N, n), dtype=np.intp)
         zero = (X[:, 1:] == 0).reshape(T, -1)
         todo = np.ones(T, dtype=bool)
         while todo.any():
@@ -310,21 +330,11 @@ def _best_tuples(X: np.ndarray, strategy: SearchStrategy) -> tuple[np.ndarray, l
                 _product_rows(lists, np.arange(s, min(s + _CHUNK_ROWS, total)))
                 for s in range(0, total, _CHUNK_ROWS)
             )
-            _scan(X, points, chunks, values, index)
-            witness[points] = _product_rows(lists, index[points])
+            _scan(X, points, chunks, values, index, witness)
     else:
-        rows = np.empty((count, N, n), dtype=np.intp)
-        rows[:2] = np.arange(n)  # row 1 stands for each point's sorting tuple
-        # permuted shuffles each length-n row in C order, drawing from the
-        # stream exactly as successive rng.permutation(n) calls do
-        rng = np.random.default_rng(strategy.seed)
-        rows[2:] = rng.permuted(
-            np.broadcast_to(np.arange(n), (strategy.n_samples, N, n)), axis=-1
-        )
         order = np.argsort(X, axis=-1, kind="stable")
-        chunks = (rows[s : s + _CHUNK_ROWS] for s in range(0, len(rows), _CHUNK_ROWS))
-        _scan(X, np.arange(T), chunks, values, index, np.take_along_axis(X, order, -1))
-        witness = rows[index]
+        chunks = _sampled_rows(count, N, n, strategy.seed)
+        _scan(X, np.arange(T), chunks, values, index, witness, np.take_along_axis(X, order, -1))
         witness[index == 1] = order[index == 1]
     return -values, [[tuple(p) for p in w] for w in witness.tolist()]
 

@@ -89,14 +89,27 @@ def _check_node(node: ast.AST, text: str) -> None:
         )
 
 
-# An expression in theta, compiled to run at each value of a list of
-# placeholder values; EXPR stands for the checked expression.
-_COLUMN = "lambda thetas: [float(EXPR) for theta in thetas]"
+# Where generated nodes sit in the compiled code: the first column of line 1.
+_AT = {"lineno": 1, "col_offset": 0}
 
 
-# One entry per distinct expression string read, so a sweep compiles each
-# string once rather than once per block of points.
-@functools.cache
+def _column_code(expr: ast.expr) -> ast.Expression:
+    """lambda thetas: [float(expr) for theta in thetas], built around the checked tree."""
+    comprehension = ast.comprehension(
+        ast.Name("theta", ast.Store(), **_AT), ast.Name("thetas", ast.Load(), **_AT), [], 0
+    )
+    element = ast.Call(ast.Name("float", ast.Load(), **_AT), [expr], [], **_AT)
+    arguments = ast.arguments([], [ast.arg("thetas", **_AT)], None, [], [], None, [])
+    return ast.Expression(
+        ast.Lambda(arguments, ast.ListComp(element, [comprehension], **_AT), **_AT)
+    )
+
+
+# A sweep compiles each distinct string once rather than once per block of
+# points.  The bound keeps the cache from growing for the life of the
+# process; it is larger than the distinct strings of a typical batch of
+# files, so a repeated batch does not miss.
+@functools.lru_cache(maxsize=4096)
 def _compile_expression(text: str):
     """Check an expression against the whitelist; return (column, uses_theta).
 
@@ -112,9 +125,7 @@ def _compile_expression(text: str):
             _check_node(node, text)
             if isinstance(node, ast.Constant):
                 node.value = float(node.value)
-        comprehension = ast.parse(_COLUMN, mode="eval")
-        comprehension.body.body.elt.args = [tree.body]
-        column = eval(compile(comprehension, "<expression>", "eval"), _EXPR_GLOBALS)
+        column = eval(compile(_column_code(tree.body), "<expression>", "eval"), _EXPR_GLOBALS)
     except SyntaxError as exc:
         raise ValidationError(f"bad expression {text!r}: {exc.msg}") from exc
     except (RecursionError, MemoryError) as exc:
@@ -218,9 +229,10 @@ class Scenario:
     theta: float | None = None
     tasks: tuple[Task, ...] = ()
     # The state at the default placeholder value (theta, or 0.0 when unset)
-    # as a stack of one, validated by parse_scenario_text; None when the
-    # scenario was built otherwise.  dataclasses.replace keeps it, so a copy
-    # with another state_spec or theta needs state=None.
+    # as a stack of one, validated by parse_scenario_text when the scenario
+    # has no sweep task; None for a sweep, which never evaluates that point,
+    # and when the scenario was built otherwise.  dataclasses.replace keeps
+    # it, so a copy with another state_spec or theta needs state=None.
     state: DensityMatrix | None = field(default=None, compare=False, repr=False)
 
     def uses_theta(self) -> bool:
@@ -541,6 +553,8 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
         theta=theta,
         tasks=tasks,
     )
+    if any(isinstance(t, SweepTask) for t in tasks):
+        return scenario  # a sweep builds and validates the states of its own grid
     # validate the state now, at the default placeholder binding, and keep it
     default = np.array([theta if theta is not None else 0.0])
     return dataclasses.replace(scenario, state=scenario.build_state(default))

@@ -1,11 +1,13 @@
 """Refinement chains, permuted variants, and the sum-form bounds."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import skewbounds.bounds
 from conftest import point_arrays, random_density, random_hermitian, random_unitary
 from oracles import (
     chain_Ik_step,
@@ -386,6 +388,36 @@ class TestSearchEquivalence:
         want = parallelogram_value(vecs, perms)
         got = sum(float(np.sum(v * v)) for v in vecs) - tuple_spread(vecs, perms)
         assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+    @pytest.mark.parametrize("chunk", [7, 64])
+    def test_sampled_draws_in_chunks(self, monkeypatch, chunk):
+        # chunk boundaries fall inside the draws, and integer entries make
+        # ties across them: the values and witnesses are those of one draw
+        # of all the rows, and of the loop's successive rng.permutation calls
+        X = np.random.default_rng(12).integers(0, 3, size=(5, 3, 4)).astype(float)
+        strategy = SearchStrategy(kind="sampled", n_samples=200, seed=3)
+        whole = sum_bound_parallelogram(X, strategy)
+        monkeypatch.setattr(skewbounds.bounds, "_CHUNK_ROWS", chunk)
+        values, witnesses = sum_bound_parallelogram(X, strategy)
+        assert np.array_equal(values, whole[0])
+        assert witnesses == whole[1]
+        for x, value, witness in zip(X, values.tolist(), witnesses):
+            assert (value, witness) == loop_sum_bound(x, strategy)
+
+    def test_sampled_memory_does_not_grow_with_samples(self, monkeypatch):
+        # one d = 4, N = 3 family: the candidate rows are drawn a chunk at a
+        # time, so twenty times the samples take about the same memory
+        monkeypatch.setattr(skewbounds.bounds, "_CHUNK_ROWS", 512)
+        X = np.random.default_rng(13).uniform(0, 2, size=(3, 16))
+        peaks = []
+        for n_samples in (2_000, 40_000):
+            tracemalloc.start()
+            try:
+                sum_bound_parallelogram(X, SearchStrategy("sampled", n_samples, seed=1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
     @given(tie_prone_vectors(st.just(2), st.integers(2, 5)))
     @settings(max_examples=40, deadline=None)

@@ -15,6 +15,7 @@ import skewbounds.cli
 import skewbounds.loo
 import skewbounds.skewinfo
 from conftest import random_density, random_hermitian, random_unitary
+from skewbounds.bounds import SearchStrategy
 from skewbounds.cli import build_parser, main
 from skewbounds.linalg import DensityMatrix
 from skewbounds.metrics import parse_metric
@@ -306,6 +307,30 @@ class TestPointWork:
         assert main(["sweep", write(tmp_path, text)]) == 0
         return read_csv(capsys)[1]
 
+    def state_builds(self, monkeypatch):
+        """The number of placeholder values of each Scenario.build_state call."""
+        sizes = []
+        original = Scenario.build_state
+
+        def wrapper(scenario, theta=None):
+            sizes.append(int(np.size(theta)))
+            return original(scenario, theta)
+
+        monkeypatch.setattr(Scenario, "build_state", wrapper)
+        return sizes
+
+    def test_sweep_builds_states_once_per_block(self, tmp_path, capsys, monkeypatch):
+        # two qubit points a block: blocks of 2, 2 and 1 of the 5 grid points,
+        # and no state at the default theta, which the sweep never evaluates
+        monkeypatch.setattr(skewbounds.cli, "_BLOCK_ENTRIES", 2 * 2**4)
+        sizes = self.state_builds(monkeypatch)
+        path = write(tmp_path, QUBIT_CHAIN)
+        assert parse_scenario_text(QUBIT_CHAIN).state is None
+        assert sizes == []
+        assert main(["sweep", path]) == 0
+        assert len(read_csv(capsys)[1]) == 5
+        assert sizes == [2, 2, 1]
+
     def test_chain_and_sum_factor_once_per_block(self, tmp_path, capsys, monkeypatch):
         cholesky = self.counting(monkeypatch, skewbounds.loo, "cholesky_psd")
         weights = self.counting(monkeypatch, skewbounds.skewinfo, "weight_matrix")
@@ -385,31 +410,47 @@ class TestPointWork:
 
 
     @pytest.mark.parametrize(
-        "builder, state, argv",
+        "builder, state, argv, sweep",
         [
-            ("from_bloch", None, ["compute"]),
-            ("from_bloch", None, ["--metric", "sld", "compute"]),
-            ("from_pure", 'pure: [["cos(theta)", 0.0], [0.0, "sin(theta)"]]', ["compute"]),
+            ("from_bloch", None, ["compute"], True),
+            ("from_bloch", None, ["compute"], False),
+            ("from_bloch", None, ["--metric", "sld", "compute"], True),
+            ("from_pure", 'pure: [["cos(theta)", 0.0], [0.0, "sin(theta)"]]', ["compute"], True),
             (
                 "from_matrix",
                 'density: [[["cos(theta)**2", 0.0], 0.0], [0.0, ["sin(theta)**2", 0.0]]]',
                 ["compute"],
+                True,
             ),
-            ("from_pure", None, ["reproduce", "2"]),
+            (
+                "from_matrix",
+                'density: [[["cos(theta)**2", 0.0], 0.0], [0.0, ["sin(theta)**2", 0.0]]]',
+                ["compute"],
+                False,
+            ),
+            ("from_pure", None, ["reproduce", "2"], False),
         ],
-        ids=["bloch", "bloch-metric-override", "pure", "density", "reproduce-2"],
+        ids=["bloch", "bloch-sweep-free", "bloch-metric-override", "pure", "density",
+             "density-sweep-free", "reproduce-2"],
     )
     def test_compute_builds_the_state_once(
-        self, tmp_path, capsys, monkeypatch, builder, state, argv
+        self, tmp_path, capsys, monkeypatch, builder, state, argv, sweep
     ):
+        # a sweep-free file at parse, a file with a sweep task when compute
+        # evaluates its default point
         builds = self.counting(monkeypatch, DensityMatrix, builder)
+        sizes = self.state_builds(monkeypatch)
         text = QUBIT_CHAIN_SUM3
         if state is not None:
             text = text.replace('bloch: ["0.8*cos(theta)", "0.8*sin(theta)", 0.0]', state)
+        if not sweep:
+            text = text.replace("  - sweep: {param: theta, range: [0.0, 3.0], steps: 5}\n", "")
         if argv[-1] == "compute":
+            assert ("sweep:" in text) == sweep
             argv = [*argv, write(tmp_path, text)]
         assert main(argv) == 0
         assert len(builds) == 1
+        assert sizes == [1]
 
 
 def mixture_scenario(d, seed, tasks):
@@ -648,6 +689,27 @@ class TestSweepErrors:
         assert captured.err == (
             "error: bad expression '0.1*sqrt(1.5 - theta)': math domain error\n"
         )
+
+    def test_invalid_only_at_the_default_theta(self, tmp_path, capsys):
+        # the state is valid on the grid [0.5, 1.5] and not at the default
+        # theta 0, which a sweep never evaluates; compute evaluates it
+        text = BLOCH_SWEEP.replace(
+            '["1.2*sin(theta)", 0.0, 0.0]', '[0.0, "0.9*sqrt(theta - 0.5)", 0.0]'
+        ).replace("range: [0.0, 1.5], steps: 20", "range: [0.5, 1.5], steps: 20")
+        path = write(tmp_path, text)
+        assert main(["sweep", path]) == 0
+        header, rows = read_csv(capsys)
+        scenario = parse_scenario_text(text)
+        grid = np.linspace(0.5, 1.5, 20)
+        want = skewbounds.cli._compute_rows(
+            scenario, grid, SearchStrategy(), scenario.build_state(grid)
+        )
+        assert header == list(want[0])
+        assert [",".join(row) for row in rows] == skewbounds.cli._format_rows(want[1]).splitlines()
+        assert main(["compute", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad expression '0.9*sqrt(theta - 0.5)': math domain error\n"
 
     def test_earlier_violation_before_later_bad_state(self, tmp_path, capsys):
         # entries of 1e200 make K overflow from row 1 on (row 0 is the

@@ -95,6 +95,16 @@ class TestEvalScalar:
         got = eval_scalar("-(2**-1) + +abs(-pi) * exp(0) / tan(pi/4) - sin(theta)", 0.5)
         assert got == pytest.approx(-0.5 + np.pi - np.sin(0.5))
 
+    def test_compiled_expressions_are_bounded(self):
+        # more distinct strings than the cache holds: it stops at its bound,
+        # and an evicted string compiles again to the same value
+        cache = skewbounds.scenario._compile_expression
+        bound = cache.cache_info().maxsize
+        texts = [f"{i}*theta + 0.5" for i in range(bound + 100)]
+        values = [eval_scalar(text, 0.25) for text in texts]
+        assert cache.cache_info().currsize == bound
+        assert eval_scalar(texts[0], 0.25) == values[0] == 0.5
+
 
 class TestParse:
     def test_minimal(self):

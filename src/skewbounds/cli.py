@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import functools
 import importlib.resources
+import io
 import sys
 
 import numpy as np
@@ -62,6 +63,12 @@ _EXAMPLE2_INTERMEDIATES = {
 # dimension d holds T d^4 entries of stacked Gram matrices, and this caps
 # that count, so a sweep's working arrays do not grow with its steps.
 _BLOCK_ENTRIES = 1 << 16
+
+# Values in a block from which _format_rows looks for runs of repeated
+# values to format once.  Chain sweeps hold nearly all their values in
+# blocks this wide; in smaller ones the search's fixed cost outweighs
+# what their repeats save.
+_RUN_VALUES = 512
 
 
 @functools.lru_cache(maxsize=256)
@@ -178,7 +185,24 @@ def _evaluate(
 
 
 def _format_rows(rows: np.ndarray) -> str:
-    """CSV lines of the rows, each value as format(v, ".12g") writes it."""
+    """CSV lines of the rows, each value as format(v, ".12g") writes it.
+
+    A block of at least _RUN_VALUES values in which at least a quarter of
+    the values repeat the one before them, read row by row, formats each run
+    of equal 64-bit patterns once and expands the texts back by index: a
+    chain row's S table repeats a value along every zero modulus position.
+    Bits, not floats, are compared, since 0.0 == -0.0 prints two texts and
+    nan != nan.  Other blocks take one "%" format per row.
+    """
+    if rows.size >= _RUN_VALUES:
+        flat = rows.ravel()
+        bits = flat.view(np.int64)
+        starts = np.concatenate(([True], bits[1:] != bits[:-1]))
+        if 4 * np.count_nonzero(starts) <= 3 * flat.size:
+            values = flat[starts].tolist()
+            texts = np.array(("%.12g," * len(values) % tuple(values)).split(","), dtype=object)
+            table = texts[np.cumsum(starts) - 1].reshape(rows.shape).tolist()
+            return "".join(",".join(row) + "\n" for row in table)
     line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
     return "".join(line % tuple(row) for row in rows.tolist())
 
@@ -286,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = sys.stdout
+    # with --out, the CSV is held here and the file opened only once the run
+    # succeeds, so a failing run leaves an existing file as it was
+    out = sys.stdout if args.out is None else io.StringIO()
     err = sys.stderr
     # numpy's floating-point warnings stay off stderr: overflow and invalid
     # operations end in non-finite values, which the pipeline reports itself
@@ -295,26 +321,24 @@ def main(argv=None) -> int:
             strategy = SearchStrategy(
                 kind=args.strategy, n_samples=args.samples, seed=args.seed
             )
-            if args.out is not None:
-                out = open(args.out, "w", encoding="utf-8")
-            try:
-                if args.command == "reproduce":
-                    run_reproduce(args.example, strategy, out, err)
+            if args.command == "reproduce":
+                if args.metric is not None:
+                    raise ValidationError(
+                        "--metric does not apply to reproduce: each worked example fixes its metric"
+                    )
+                run_reproduce(args.example, strategy, out, err)
+            else:
+                scenario = parse_scenario(args.scenario)
+                if args.metric is not None:
+                    scenario = dataclasses.replace(
+                        scenario,
+                        metric_label=args.metric,
+                        metric=parse_metric(args.metric),
+                    )
+                if args.command == "compute":
+                    run_compute(scenario, strategy, out)
                 else:
-                    scenario = parse_scenario(args.scenario)
-                    if args.metric is not None:
-                        scenario = dataclasses.replace(
-                            scenario,
-                            metric_label=args.metric,
-                            metric=parse_metric(args.metric),
-                        )
-                    if args.command == "compute":
-                        run_compute(scenario, strategy, out)
-                    else:
-                        run_sweep(scenario, strategy, out)
-            finally:
-                if out is not sys.stdout:
-                    out.close()
+                    run_sweep(scenario, strategy, out)
         except (ParseError, ValidationError) as exc:
             err.write(f"error: {exc}\n")
             return 1
@@ -326,6 +350,13 @@ def main(argv=None) -> int:
             return 3
         except SkewboundsError as exc:
             err.write(f"error: {exc}\n")
+            return 1
+    if args.out is not None:
+        try:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(out.getvalue())
+        except OSError as exc:
+            err.write(f"error: cannot write {args.out}: {exc.strerror or exc}\n")
             return 1
     return 0
 

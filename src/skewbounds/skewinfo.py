@@ -42,9 +42,11 @@ def correlation_matrix(
                 f"observable shape {np.shape(A)} does not match state dim {d}"
             )
     N = len(observables)
-    V = rho.eigenvectors[..., None, :, :]
-    lead = V.shape[:-3]
-    rotated = (V.conj().swapaxes(-1, -2) @ np.asarray(observables) @ V).reshape(*lead, N, d * d)
+    V = rho.eigenvectors
+    lead = V.shape[:-2]
+    # V^dag A_k for every k, then all N of them times V in one product per point
+    left = V.conj().swapaxes(-1, -2)[..., None, :, :] @ np.asarray(observables)
+    rotated = (left.reshape(*lead, N * d, d) @ V).reshape(*lead, N, d * d)
     W = weight_matrix(m, rho.eigenvalues).reshape(*lead, 1, d * d)
     K = (rotated.conj() * W) @ rotated.swapaxes(-1, -2)
     diag = K.reshape(-1, N * N)[:, :: N + 1]

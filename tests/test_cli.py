@@ -191,15 +191,64 @@ class TestCompute:
         assert main(["--out", str(out), "compute", path]) == 0
         assert out.read_text().startswith("theta,product,cauchy")
 
+    def test_failing_run_keeps_the_out_file(self, tmp_path, capsys):
+        # the file is written only once the run succeeds
+        out = tmp_path / "prev.csv"
+        out.write_bytes(b"theta,product\n1,2\n")
+        path = write(tmp_path, BLOCH_SWEEP)
+        assert main(["--out", str(out), "sweep", path]) == 1
+        assert main(["--out", str(out), "compute", str(tmp_path / "missing.yaml")]) == 1
+        assert out.read_bytes() == b"theta,product\n1,2\n"
+        assert capsys.readouterr().out == ""
 
-def test_row_format_matches_format_12g():
-    # one "%.12g" format per row writes what format(v, ".12g") writes per value
+    def test_out_in_a_missing_directory(self, tmp_path):
+        out = tmp_path / "missing" / "result.csv"
+        proc = run_cli("--out", str(out), "compute", write(tmp_path, QUBIT_CHAIN))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: cannot write {out}: No such file or directory\n"
+        assert not out.parent.exists()
+
+
+def _nan(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+def _blocks():
+    """Blocks on both sides of the size and the repeat share at which runs are formatted once."""
+    size = skewbounds.cli._RUN_VALUES
     rng = np.random.default_rng(4)
     special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -123456789012345.0]
-    rows = np.concatenate([special, rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40)])
-    rows = rows.reshape(-1, 6)
-    expected = "".join(",".join(format(v, ".12g") for v in row) + "\n" for row in rows.tolist())
-    assert skewbounds.cli._format_rows(rows) == expected
+    narrow = np.concatenate([special, rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40)])
+    # NaNs of either sign and of three payloads, next to each other
+    nans = [_nan(0x7FF8000000000000), _nan(0xFFF8000000000000), _nan(0x7FF8000000000001),
+            _nan(0x7FF0000000000001), np.nan, -np.nan]
+    special = nans + [0.0, -0.0, 0.0, -0.0, -0.0, np.inf, np.inf, -np.inf, 5e-324, 5e-324,
+                      -5e-324, 0.0, 1e300, 1e300]
+    runs = np.repeat(rng.standard_normal(size // 4), rng.integers(1, 16, size // 4))
+    mixed = np.concatenate([special, runs, special])
+    blocks = {
+        "narrow": narrow.reshape(-1, 6),
+        "runs": runs[: 8 * (len(runs) // 8)].reshape(8, -1),
+        "specials-and-runs": mixed[: 4 * (len(mixed) // 4)].reshape(-1, 4),
+        "one-row": mixed.reshape(1, -1),
+        "one-column": mixed.reshape(-1, 1),
+        "few-repeats": (rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)).reshape(-1, 16),
+        "below-the-size": np.repeat(rng.standard_normal(size // 4), 4)[: size - 1].reshape(1, -1),
+        "at-the-size": np.concatenate([special, np.repeat(1.5, size - len(special))]).reshape(-1, 2),
+        "chain-like": np.repeat(np.repeat(rng.standard_normal((5, 20)), 7, axis=1), 4, axis=0),
+    }
+    blocks["transposed"] = blocks["runs"].T
+    return blocks
+
+
+def test_row_format_matches_format_12g():
+    # every block, whichever way it is formatted, writes what format(v, ".12g")
+    # writes per value: 0.0 and -0.0, and NaNs of another sign or payload,
+    # are runs of their own
+    for name, rows in _blocks().items():
+        expected = "".join(",".join(format(v, ".12g") for v in row) + "\n" for row in rows.tolist())
+        assert skewbounds.cli._format_rows(rows) == expected, name
 
 
 class TestParserReuse:
@@ -750,6 +799,15 @@ tasks:
 
 
 class TestReproduce:
+    def test_metric_does_not_apply(self, capsys):
+        # each worked example fixes its metric, so an override is refused
+        assert main(["--metric", "sld", "reproduce", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --metric does not apply to reproduce: each worked example fixes its metric\n"
+        )
+
     def test_example_2_report(self, capsys):
         assert main(["reproduce", "2"]) == 0
         captured = capsys.readouterr()

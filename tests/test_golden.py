@@ -3,7 +3,9 @@
 The files under ``tests/golden/`` were written by the CLI before the
 permutation searches were vectorized; regenerate one only for a change that
 is meant to alter the numbers, by running the listed arguments with
-``--out tests/golden/<file>``.
+``--out tests/golden/<file>``.  The two chain sweeps were written before
+the CSV writer formatted runs of repeated values once; computing the Gram
+factor from F instead of Γ (ROADMAP item 2) will regenerate them on purpose.
 """
 
 from pathlib import Path
@@ -21,6 +23,11 @@ CASES = {
     "reproduce3_sampled_seed42.csv": ["--strategy", "sampled", "--seed", "42", "reproduce", "3"],
     # exhaustive N = 2 qutrit sum: 9! permutation tuples
     "qutrit_sum_n2.csv": ["compute", str(GOLDEN / "qutrit_sum_n2.yaml")],
+    # chain sweeps whose blocks of 1640 and 1251 values take the CSV
+    # writer's run-by-run path: a d = 5 pure state (long runs of one value)
+    # and a full-rank d = 4 density matrix (short runs)
+    "chain_pure_d5_wyd.csv": ["sweep", str(GOLDEN / "chain_pure_d5_wyd.yaml")],
+    "chain_density_d4_sld.csv": ["sweep", str(GOLDEN / "chain_density_d4_sld.yaml")],
 }
 
 

@@ -227,13 +227,14 @@ def _blocks():
                       -5e-324, 0.0, 1e300, 1e300]
     runs = np.repeat(rng.standard_normal(size // 4), rng.integers(1, 16, size // 4))
     mixed = np.concatenate([special, runs, special])
+    scattered = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
     blocks = {
         "narrow": narrow.reshape(-1, 6),
         "runs": runs[: 8 * (len(runs) // 8)].reshape(8, -1),
         "specials-and-runs": mixed[: 4 * (len(mixed) // 4)].reshape(-1, 4),
         "one-row": mixed.reshape(1, -1),
         "one-column": mixed.reshape(-1, 1),
-        "few-repeats": (rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)).reshape(-1, 16),
+        "few-repeats": scattered.reshape(-1, 16),
         "below-the-size": np.repeat(rng.standard_normal(size // 4), 4)[: size - 1].reshape(1, -1),
         "at-the-size": np.concatenate([special, np.repeat(1.5, size - len(special))]).reshape(-1, 2),
         "chain-like": np.repeat(np.repeat(rng.standard_normal((5, 20)), 7, axis=1), 4, axis=0),

@@ -564,37 +564,9 @@ def parse_scenario(path) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_scenario_text(text, source=str(path))
 
-
-def _thaw(value):
-    if isinstance(value, tuple):
-        return [_thaw(v) for v in value]
-    return value
-
-
-def write_scenario(s: Scenario) -> str:
-    """Serialize back to YAML; parse_scenario_text round-trips the result."""
-    doc = {
-        "metric": s.metric_label,
-        "state": {s.state_kind: _thaw(s.state_spec)},
-        "observables": {
-            name: [[[float(e.real), float(e.imag)] for e in row] for row in mat]
-            for name, mat in s.observables.items()
-        },
-        "tasks": [],
-    }
-    if s.theta is not None:
-        doc["theta"] = s.theta
-    for t in s.tasks:
-        if isinstance(t, PairTask):
-            doc["tasks"].append({t.kind: {"A": t.a, "B": t.b}})
-        elif isinstance(t, SumTask):
-            doc["tasks"].append({"sum": {"observables": list(t.names)}})
-        else:
-            doc["tasks"].append(
-                {"sweep": {"param": t.param, "range": [t.lo, t.hi], "steps": t.steps}}
-            )
-    return yaml.safe_dump(doc, sort_keys=False)

@@ -1,10 +1,12 @@
-"""Shared helpers: seeded random states, observables, unitaries, and the
-per-point arrays the bounds are computed from."""
+"""Shared helpers: seeded random states, observables, unitaries, the
+per-point arrays the bounds are computed from, and a scenario writer."""
 
 import numpy as np
+import yaml
 
 from skewbounds.linalg import DensityMatrix
 from skewbounds.loo import expand, gram_matrix, loo_basis, modulus_vector
+from skewbounds.scenario import PairTask, Scenario, SumTask
 from skewbounds.skewinfo import correlation_matrix
 
 
@@ -37,3 +39,34 @@ def point_arrays(rho, observables, m):
     basis = loo_basis(rho.dim)
     moduli = modulus_vector(gram_matrix(rho, basis, m), expand(obs, basis))
     return correlation_matrix(rho, obs, m), moduli
+
+
+def _thaw(value):
+    if isinstance(value, tuple):
+        return [_thaw(v) for v in value]
+    return value
+
+
+def write_scenario(s: Scenario) -> str:
+    """Serialize back to YAML; parse_scenario_text round-trips the result."""
+    doc = {
+        "metric": s.metric_label,
+        "state": {s.state_kind: _thaw(s.state_spec)},
+        "observables": {
+            name: [[[float(e.real), float(e.imag)] for e in row] for row in mat]
+            for name, mat in s.observables.items()
+        },
+        "tasks": [],
+    }
+    if s.theta is not None:
+        doc["theta"] = s.theta
+    for t in s.tasks:
+        if isinstance(t, PairTask):
+            doc["tasks"].append({t.kind: {"A": t.a, "B": t.b}})
+        elif isinstance(t, SumTask):
+            doc["tasks"].append({"sum": {"observables": list(t.names)}})
+        else:
+            doc["tasks"].append(
+                {"sweep": {"param": t.param, "range": [t.lo, t.hi], "steps": t.steps}}
+            )
+    return yaml.safe_dump(doc, sort_keys=False)

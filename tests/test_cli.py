@@ -14,7 +14,7 @@ import skewbounds.bounds
 import skewbounds.cli
 import skewbounds.loo
 import skewbounds.skewinfo
-from conftest import random_density, random_hermitian, random_unitary
+from conftest import random_density, random_hermitian, random_unitary, write_scenario
 from skewbounds.bounds import SearchStrategy
 from skewbounds.cli import build_parser, main
 from skewbounds.linalg import DensityMatrix
@@ -25,7 +25,6 @@ from skewbounds.scenario import (
     SumTask,
     SweepTask,
     parse_scenario_text,
-    write_scenario,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -550,8 +549,16 @@ class TestBlocks:
 
 
 class TestExitCodes:
-    def test_missing_file(self, capsys):
-        assert main(["compute", "/nonexistent/file.yaml"]) == 1
+    def test_missing_file(self, tmp_path, capsys):
+        # the reason once repeated the path, as in "[Errno 2] ...: '<path>'"
+        for path, reason in [
+            ("/nonexistent/file.yaml", "No such file or directory"),
+            (tmp_path, "Is a directory"),
+        ]:
+            assert main(["compute", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: cannot read {path}: {reason}\n"
 
     def test_undecodable_file(self, tmp_path, capsys):
         # once an uncaught UnicodeDecodeError traceback
@@ -560,8 +567,10 @@ class TestExitCodes:
         assert main(["compute", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: cannot read {path}: ")
-        assert "can't decode byte 0xff" in captured.err
+        assert captured.err == (
+            f"error: cannot read {path}: "
+            "'utf-8' codec can't decode byte 0xff in position 11: invalid start byte\n"
+        )
 
     def test_validation_error(self, tmp_path, capsys):
         bad = QUBIT_CHAIN.replace('"0.8*cos(theta)"', "1.8")
@@ -773,6 +782,43 @@ class TestSweepErrors:
         assert captured.out == ""
         assert captured.err == (
             "invariant violation: row 1 (theta=0.0789474): non-finite value in column product\n"
+        )
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ((1, 0), 100.0, "I_1 = 100.0 differs from product {product!r}"),
+            ((3, 2), 100.0, "I chain increases at k = 3"),
+            ((3, 1), 100.0, "S chain increases at (3, 1)"),
+            ((4, 3), -1.0, "I_4 outside [cauchy, product]"),
+            # an S entry between two I entries is outside [cauchy, product]
+            # with no step of the chain rising by more than its tolerance
+            # only when it is NaN
+            ((3, 1), np.nan, "S_(3, 1) outside [cauchy, product]"),
+        ],
+    )
+    def test_chain_violation(self, tmp_path, capsys, monkeypatch, key, value, message):
+        # one S entry of row 2 replaced, the I chain following it; the
+        # points before row 2 are evaluated again as a stack of two
+        table_Spq = skewbounds.bounds.table_Spq
+
+        def moved(x, y):
+            S = table_Spq(x, y)
+            if len(S) == 5:
+                S[2, skewbounds.bounds.spq_order(4).index(key)] = value
+            return S
+
+        monkeypatch.setattr(skewbounds.bounds, "table_Spq", moved)
+        assert main(["sweep", write(tmp_path, QUBIT_CHAIN)]) == 2
+        captured = capsys.readouterr()
+        scenario = parse_scenario_text(QUBIT_CHAIN)
+        rho = scenario.build_state(np.linspace(0.0, 3.0, 5))
+        observables = [scenario.observables[name] for name in ("A", "B")]
+        K = skewbounds.skewinfo.correlation_matrix(rho, observables, scenario.metric)
+        product = float(skewbounds.bounds.product_and_cauchy(K)[0][2])
+        assert captured.out == ""
+        assert captured.err == (
+            f"invariant violation: row 2 (theta=1.5): {message.format(product=product)}\n"
         )
 
     def test_overflow_reported_without_numpy_warnings(self, tmp_path):

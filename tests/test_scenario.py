@@ -10,6 +10,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import skewbounds.scenario
+from conftest import write_scenario
 from skewbounds.errors import ParseError, ValidationError
 from skewbounds.scenario import (
     PairTask,
@@ -18,7 +19,6 @@ from skewbounds.scenario import (
     SweepTask,
     eval_scalar,
     parse_scenario_text,
-    write_scenario,
 )
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -149,32 +149,31 @@ def violation(fn):
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 3))
 @settings(max_examples=60, deadline=None)
 def test_stacked_check_reports_the_first_failing_point(seed, d):
-    # chains with one entry moved, on some points: the stacked check raises
-    # at the first point whose one-point check raises, with its message
+    # chains with one entry of the product, the Cauchy bound or the S table
+    # moved, on some points, the I chain following S: the stacked check
+    # raises at the first point whose one-point check raises, with its message
     states, obs, m = stacked_family(seed, d, "wy")
     rng = np.random.default_rng(seed)
     stack = DensityMatrix.from_matrix(np.array([s.matrix for s in states]))
     basis = loo_basis(d)
     moduli = modulus_vector(cholesky_psd(correlation_matrix(stack, basis, m)), expand(obs, basis))
     pc = product_chain(correlation_matrix(stack, obs, m), moduli[:, 0], moduli[:, 1])
-    values = [pc.product.copy(), pc.cauchy.copy(), pc.I_seq.copy(), pc.S_table.copy()]
+    values = [pc.product.copy(), pc.cauchy.copy(), pc.S_table.copy()]
     for t in range(len(states)):
         if rng.random() < 0.5:
-            which = int(rng.integers(4))
+            which = int(rng.integers(3))
             target = values[which][t : t + 1] if which < 2 else values[which][t]
             target[int(rng.integers(target.size))] += rng.choice([-1.0, 1.0]) * rng.uniform(0, 2)
-    product, cauchy, I, S = values
+    product, cauchy, S = values
     keys = spq_order(d * d)
     expected = None
     for t in range(len(states)):
         table = dict(zip(keys, S[t].tolist()))
-        exc = violation(
-            lambda: loop_check_product_chain(float(product[t]), float(cauchy[t]), I[t], table)
-        )
+        exc = violation(lambda: loop_check_product_chain(float(product[t]), float(cauchy[t]), table))
         if exc is not None:
             expected = (t, str(exc))
             break
-    exc = violation(lambda: check_product_chain(ProductChain(product, cauchy, I, S)))
+    exc = violation(lambda: check_product_chain(ProductChain(product, cauchy, S)))
     assert (exc and (exc.row, str(exc))) == (expected or None)
 
 

@@ -791,9 +791,8 @@ class TestSweepErrors:
             ((3, 2), 100.0, "I chain increases at k = 3"),
             ((3, 1), 100.0, "S chain increases at (3, 1)"),
             ((4, 3), -1.0, "I_4 outside [cauchy, product]"),
-            # an S entry between two I entries is outside [cauchy, product]
-            # with no step of the chain rising by more than its tolerance
-            # only when it is NaN
+            # while both chains descend, an S entry between two I entries
+            # can leave [cauchy, product] alone only as a NaN
             ((3, 1), np.nan, "S_(3, 1) outside [cauchy, product]"),
         ],
     )

@@ -34,7 +34,7 @@ from .errors import (
     raise_first,
 )
 from .linalg import DensityMatrix
-from .loo import expand, gram_matrix, loo_basis, modulus_vector
+from .loo import modulus_vectors
 from .metrics import parse_metric
 from .scenario import (
     Scenario,
@@ -43,7 +43,7 @@ from .scenario import (
     parse_scenario,
     parse_scenario_text,
 )
-from .skewinfo import correlation_matrix
+from .skewinfo import correlation_from_terms, eigenbasis_terms
 
 # Values printed in the qutrit worked example, keyed by chain label.  The
 # endpoints are gauge-free; the intermediates depend on the factorization
@@ -59,8 +59,8 @@ _EXAMPLE2_INTERMEDIATES = {
 
 
 # Points evaluated together in one block of a sweep.  A block of T points at
-# dimension d holds T d^4 entries of stacked Gram matrices, and this caps
-# that count, so a sweep's working arrays do not grow with its steps.
+# dimension d holds fewer than T d^4 entries of stacked columns of F, and
+# this caps that count, so a sweep's working arrays do not grow with its steps.
 _BLOCK_ENTRIES = 1 << 16
 
 # Values in a block from which _format_rows looks for runs of repeated
@@ -107,11 +107,12 @@ def _compute_rows(
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Evaluate all non-sweep tasks at each placeholder value: (header, (T, ncols) rows).
 
-    rho is the stack of states at the placeholder values.  One stacked
-    correlation matrix K covers every observable the tasks name; the Gram
-    factor and the modulus vectors are built only for chain tasks and sums
-    of three or more observables, which are the ones that need them: the
-    bound of a pair's sum is its trace of K.  Each stage raises the error of
+    rho is the stack of states at the placeholder values.  The observables
+    the tasks name are rotated into the eigenbasis and weighted once; one
+    stacked correlation matrix K covers them all, and the modulus vectors
+    are built from the same terms only for chain tasks and sums of three or
+    more observables, which are the ones that need them: the bound of a
+    pair's sum is its trace of K.  Each stage raises the error of
     the first point that fails it, with ``row`` set.
     """
     n = scenario.dim**2
@@ -121,13 +122,11 @@ def _compute_rows(
     rows[:, 0] = thetas
     if names:
         observables = [scenario.observables[name] for name in names]
-        K = correlation_matrix(rho, observables, m)
+        rotated, W = eigenbasis_terms(rho, observables, m)
+        K = correlation_from_terms(rotated, W)
         if any(len(idx) > 2 if isinstance(task, SumTask) else task.kind == "chain"
                for task, idx, _ in steps):
-            basis = loo_basis(rho.dim)
-            moduli = modulus_vector(
-                gram_matrix(rho, basis, m), expand(np.array(observables), basis)
-            )
+            moduli = modulus_vectors(rho, rotated, W)
     for task, idx, cols in steps:
         K_task = K[:, idx][:, :, idx]
         if isinstance(task, SumTask):

@@ -10,8 +10,34 @@ The Gram matrix Gamma_{mu,nu} = Corr(Omega_mu, Omega_nu) encodes every skew
 information as a quadratic form a^T Gamma a.  Gamma = C^dag C only fixes the
 factor C up to a left unitary, and the modulus vectors below do depend on
 that gauge, so one deterministic choice is fixed here: the upper-triangular
-semidefinite Cholesky factor, with all-zero rows at rank-deficient pivots.
+factor with a real positive diagonal and all-zero rows at dependent
+columns, the one a semidefinite Cholesky factorization of Gamma gives.
 Bound validity is gauge-free; only the intermediate refinement values move.
+
+The factor is not computed from Gamma, which would square its condition
+number, but as the R factor of F, where Gamma = F^dag F and
+F_{(i,j),mu} = sqrt(W_ij) (V^dag Omega_mu V)_ij over the weights W and the
+eigenvectors V of the state.  Its nonzero rows are Q^dag F, where Q spans
+the columns of F that depend on no earlier column: the columns J that a
+greedy left-to-right search keeps.  The moduli of an observable A with
+coefficients a are then |C a| = |Q^dag f| with f = sqrt(W) * V^dag A V.
+F and f are taken in real coordinates (see _real_terms), which change no
+inner product, so Gamma and C are real.
+
+J depends only on where W is positive, since scaling a row of F by
+sqrt(W_ij) > 0 changes no column dependence, and W_ij = 0 exactly when
+lam_i = lam_j; so there is one J per pattern of equal eigenvalues, at most
+2^(d-1) of them.  modulus_vectors finds J once per pattern, by the
+reference search (orthonormalize, a two-pass Gram-Schmidt) at a seeded
+random eigenbasis, where the kept and the dropped columns must be far
+apart.  At a state with that pattern no leading block of columns of F has
+a higher rank than there, so J is the state's own choice exactly when each
+column of J keeps a residual above the floor after the columns of J before
+it.  One batched QR of those columns, with f appended, checks that and
+gives Q^dag f.  The points where some residual is at or below the floor (a
+state whose eigenbasis aligns with the basis, such as a qubit with a Bloch
+vector in the x-y plane), and every point of a pattern whose J is not
+clear, take the reference search over every column instead.
 """
 
 from __future__ import annotations
@@ -23,11 +49,21 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError
 from .linalg import DensityMatrix
 from .metrics import MetricSpec
-from .skewinfo import correlation_matrix
+from .skewinfo import eigenbasis_terms
 
-# Cholesky pivots at or below this, relative to the largest diagonal entry of
-# Gamma, are treated as exact kernel directions.
+# Cholesky pivots, and squared column residuals of F, at or below this
+# relative to max(1, the largest diagonal entry of Gamma) are treated as
+# exact kernel directions.
 _SQRT_CLAMP = 1e-12
+
+# The eigenbasis at which each pattern's columns are found, and the margin
+# required there: every kept column keeps a squared residual of at least
+# _KEPT_MIN and every dropped one at most _DROPPED_MAX, both far from the
+# floor.  At this seed all 254 patterns of d = 2..8 keep at least 5e-5 and
+# drop at most 1e-28.
+_PATTERN_SEED = 15
+_KEPT_MIN = 1e-6
+_DROPPED_MAX = 1e-20
 
 
 # One basis per dimension for the life of the process: it does not depend on
@@ -104,13 +140,167 @@ def cholesky_psd(gamma: np.ndarray) -> np.ndarray:
     return R.reshape(gamma.shape)
 
 
+def orthonormalize(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy orthonormal basis of the columns of a stack F (T, m, n): (Q, residuals).
+
+    Column k of each point is orthogonalized against the columns kept
+    before it twice ("twice is enough": Giraud, Langou and Rozloznik,
+    2005).  It is kept when its squared residual norm exceeds _SQRT_CLAMP
+    times max(1, the largest squared column norm), and then Q's column k is
+    the unit residual; otherwise Q's column k is zero.  residuals (T, n)
+    holds every squared residual norm, kept or not.  The rows of Q^dag F
+    at kept columns are those of the factor C; the others are zero.
+    """
+    T, m, n = F.shape
+    Q = np.zeros((T, m, n), dtype=np.result_type(F, float))
+    residuals = np.zeros((T, n))
+    floor = _SQRT_CLAMP * np.maximum(
+        1.0, np.square(np.abs(F)).sum(axis=1).max(axis=1, initial=0.0)
+    )
+    for k in range(n):
+        v = F[:, :, k, None]
+        for _ in range(2):
+            v = v - Q[:, :, :k] @ (Q[:, :, :k].conj().swapaxes(1, 2) @ v)
+        r2 = np.square(np.abs(v[:, :, 0])).sum(axis=1)
+        residuals[:, k] = r2
+        keep = r2 > floor
+        Q[keep, :, k] = v[keep, :, 0] / np.sqrt(r2[keep])[:, None]
+    return Q, residuals
+
+
+@functools.cache
+def _upper(d: int) -> np.ndarray:
+    """Flat indices i d + j of the entries i < j of a d x d matrix, read-only."""
+    i, j = np.triu_indices(d, 1)
+    upper = i * d + j
+    upper.setflags(write=False)
+    return upper
+
+
+def _real_terms(terms: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """sqrt(W) * terms in real coordinates: (..., d^2) to (..., d(d-1)).
+
+    terms are Hermitian matrices in the eigenbasis, flattened, and W their
+    weights.  Entries (i, j) and (j, i) are conjugate and share a weight,
+    and W_ii = 0, so the unitary that takes each such pair to sqrt(2) times
+    the real and the imaginary part of its upper entry leaves every inner
+    product, and so K, Gamma and the R factor, as they are.
+    """
+    upper = _upper(int(round(np.sqrt(terms.shape[-1]))))
+    w = np.sqrt(2.0 * W[..., upper])
+    z = terms[..., upper]
+    return np.concatenate((w * z.real, w * z.imag), axis=-1)
+
+
+@functools.lru_cache(maxsize=1024)
+def _side_by_side(d: int, columns: tuple[int, ...]) -> np.ndarray:
+    """The LOO basis elements at columns, side by side: (d, r d), read-only."""
+    B = loo_basis(d)[list(columns)].transpose(1, 0, 2).reshape(d, len(columns) * d)
+    B.setflags(write=False)
+    return B
+
+
+def _basis_columns(V: np.ndarray, W: np.ndarray, columns: tuple[int, ...]) -> np.ndarray:
+    """The columns of F at columns, in real coordinates: (T, d(d-1), r).
+
+    V (T, d, d) and W (T, d^2) are the eigenvectors and weights of T
+    states.  V^dag Omega_mu V takes one product on each side per point:
+    V^dag times the elements side by side, then the r of them stacked
+    times V.
+    """
+    T, d, _ = V.shape
+    r = len(columns)
+    left = V.conj().swapaxes(1, 2) @ _side_by_side(d, columns)
+    rotated = left.reshape(T, d, r, d).swapaxes(1, 2).reshape(T, r * d, d) @ V
+    return _real_terms(rotated.reshape(T, r, d * d), W[:, None, :]).swapaxes(1, 2)
+
+
+@functools.lru_cache(maxsize=1024)
+def _pattern_columns(d: int, support: bytes) -> tuple[int, ...] | None:
+    """The columns J that the greedy search keeps where W > 0 exactly at support.
+
+    support holds the d^2 booleans W_ij > 0 as bytes.  The search runs at a
+    seeded random eigenbasis with unit weights on the support.  It must keep
+    one column per weight (F has full row rank there), with the kept and the
+    dropped residuals far apart; where they are not, there is no J (None)
+    and every point of the pattern takes the search over every column.
+    """
+    mask = np.frombuffer(support, dtype=bool)
+    rng = np.random.default_rng(_PATTERN_SEED)
+    G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    V = np.linalg.qr(G)[0][None]
+    Q, residuals = orthonormalize(_basis_columns(V, mask[None] * 1.0, tuple(range(d * d))))
+    kept = np.any(Q[0], axis=0)
+    if (
+        np.count_nonzero(kept) != np.count_nonzero(mask)
+        or residuals[0, kept].min(initial=np.inf) < _KEPT_MIN
+        or residuals[0, ~kept].max(initial=0.0) > _DROPPED_MAX
+    ):
+        return None
+    return tuple(np.flatnonzero(kept).tolist())
+
+
+def modulus_vectors(rho: DensityMatrix, rotated: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Moduli |C a| of a family of observables at a state: (N, d^2), or (T, N, d^2).
+
+    rotated and W are the terms skewinfo.eigenbasis_terms gives for the
+    observables at rho, one state or a stack of T states.  With
+    f = sqrt(W) * rotated, the moduli are |Q^T f| at the kept columns of F,
+    in real coordinates, and exact zeros at the others (see the module
+    docstring); sum(x**2) = I(A) = K_ii.
+
+    The points are grouped by where W > 0.  Each group takes one batched
+    QR of its pattern's columns J with the f of its observables appended:
+    R's first r = |J| columns check J, and the block beside them is Q^T f.
+    The floor is orthonormalize's, which is _SQRT_CLAMP here: a column of F
+    has a squared norm of at most max W <= 1/2 for every metric.  The
+    points where a column of J falls to the floor, and every point of a
+    pattern with no J, take orthonormalize over every column instead.
+    """
+    N, n = rotated.shape[-2:]
+    d = rho.dim
+    V = rho.eigenvectors.reshape(-1, d, d)
+    T = len(V)
+    W = W.reshape(T, n)
+    f = _real_terms(rotated.reshape(T, N, n), W[:, None, :]).swapaxes(1, 2)
+    x = np.zeros((T, N, n))
+    support = W > 0
+    todo = np.ones(T, dtype=bool)
+    while todo.any():
+        pattern = support[todo.argmax()]
+        points = np.flatnonzero(todo & np.all(support == pattern, axis=1))
+        todo[points] = False
+        columns = _pattern_columns(d, pattern.tobytes())
+        if columns is not None:
+            r = len(columns)
+            F = _basis_columns(V[points], W[points], columns)
+            R = np.linalg.qr(np.concatenate((F, f[points]), axis=2), mode="r")
+            ok = np.all(np.square(R.diagonal(axis1=1, axis2=2)[:, :r]) > _SQRT_CLAMP, axis=1)
+            x[points[ok, None], :, list(columns)] = np.abs(R[ok, :r, r:])
+            points = points[~ok]
+        if len(points):
+            Q = orthonormalize(_basis_columns(V[points], W[points], tuple(range(n))))[0]
+            x[points] = np.abs(f[points].swapaxes(1, 2) @ Q)
+    return x.reshape(rotated.shape)
+
+
 def gram_matrix(rho: DensityMatrix, basis: np.ndarray, m: MetricSpec) -> np.ndarray:
-    """Canonical factor C of the Gram matrix Gamma = C^dag C.
+    """Canonical factor C of the Gram matrix Gamma = C^T C = F^T F.
 
     Gamma_{mu,nu} = Corr(Omega_mu, Omega_nu) is the correlation matrix of the
-    basis elements.  A stack of T states gives a stack of T factors.
+    Hermitian basis elements, and C is the R factor of F (in real
+    coordinates) that orthonormalize gives: upper triangular and real, with
+    a positive diagonal at kept columns and zero rows at the others.  A
+    stack of T states gives a stack of T factors.
     """
-    return cholesky_psd(correlation_matrix(rho, basis, m))
+    rotated, W = eigenbasis_terms(rho, basis, m)
+    n = len(basis)
+    F = _real_terms(rotated, W).swapaxes(-1, -2).reshape(-1, W.shape[-1] - rho.dim, n)
+    Q, residuals = orthonormalize(F)
+    C = np.triu(Q.swapaxes(1, 2) @ F)
+    diag = C.reshape(-1, n * n)[:, :: n + 1]
+    diag[:] = np.where(np.any(Q, axis=1), np.sqrt(residuals), 0.0)
+    return C.reshape(rotated.shape[:-2] + (n, n))
 
 
 def modulus_vector(C: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -133,4 +323,6 @@ __all__ = [
     "gram_matrix",
     "loo_basis",
     "modulus_vector",
+    "modulus_vectors",
+    "orthonormalize",
 ]

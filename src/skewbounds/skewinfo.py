@@ -24,16 +24,14 @@ from .metrics import MetricSpec, weight_matrix
 _DIAG_TOL = 1e-12
 
 
-def correlation_matrix(
+def eigenbasis_terms(
     rho: DensityMatrix, observables, m: MetricSpec
-) -> np.ndarray:
-    """K[i, j] = Corr(A_i, A_j) for a sequence of observables.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rotated, W): the observables A~ = V^dag A V and the weights, flattened over (i, j).
 
-    K is Hermitian with a real nonnegative diagonal.  Each term of K_ii is
-    w |A~_ij|^2 >= 0, so its imaginary part and any negative real part are
-    rounding; both are checked against 1e-12 max(1, |K_ii|) and removed.
-    A stack of T states gives a stack of T matrices, (T, N, N); a residue
-    beyond the tolerance is reported for the first such state.
+    rotated is (..., N, d^2) and W (..., 1, d^2), with the leading axes of
+    a stack of states.  Every correlation is a weighted sum over their
+    entries; see correlation_from_terms.
     """
     d = rho.dim
     for A in observables:
@@ -48,6 +46,19 @@ def correlation_matrix(
     left = V.conj().swapaxes(-1, -2)[..., None, :, :] @ np.asarray(observables)
     rotated = (left.reshape(*lead, N * d, d) @ V).reshape(*lead, N, d * d)
     W = weight_matrix(m, rho.eigenvalues).reshape(*lead, 1, d * d)
+    return rotated, W
+
+
+def correlation_from_terms(rotated: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """K[i, j] = sum W conj(A~_i) A~_j of the terms eigenbasis_terms gives.
+
+    K is Hermitian with a real nonnegative diagonal.  Each term of K_ii is
+    w |A~_ij|^2 >= 0, so its imaginary part and any negative real part are
+    rounding; both are checked against 1e-12 max(1, |K_ii|) and removed.
+    A stack of T states gives a stack of T matrices, (T, N, N); a residue
+    beyond the tolerance is reported for the first such state.
+    """
+    N = rotated.shape[-2]
     K = (rotated.conj() * W) @ rotated.swapaxes(-1, -2)
     diag = K.reshape(-1, N * N)[:, :: N + 1]
     tol = _DIAG_TOL * np.maximum(1.0, np.abs(diag))
@@ -65,6 +76,13 @@ def correlation_matrix(
     diag = K.reshape(-1, N * N)[:, :: N + 1]
     diag[:] = np.maximum(diag.real, 0.0)
     return K
+
+
+def correlation_matrix(
+    rho: DensityMatrix, observables, m: MetricSpec
+) -> np.ndarray:
+    """K[i, j] = Corr(A_i, A_j) for a sequence of observables (see correlation_from_terms)."""
+    return correlation_from_terms(*eigenbasis_terms(rho, observables, m))
 
 
 def correlation(

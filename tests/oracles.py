@@ -34,6 +34,7 @@ from skewbounds.errors import (
     InvariantViolation,
 )
 from skewbounds.linalg import DensityMatrix
+from skewbounds.loo import loo_basis
 from skewbounds.metrics import KIND_SLD, KIND_WY, KIND_WYD, MetricSpec, weight_matrix
 
 
@@ -338,6 +339,42 @@ def loop_cholesky_psd(gamma: np.ndarray, clamp: float = 1e-12) -> np.ndarray:
                 gamma[i, i + 1 :] - R[:i, i].conj() @ R[:i, i + 1 :]
             ) / R[i, i]
     return R
+
+
+def longdouble_moduli(rho: DensityMatrix, observables, m: MetricSpec, clamp: float = 1e-12):
+    """Moduli |C a| of one state by a two-pass Gram-Schmidt on F in np.clongdouble: (N, d^2).
+
+    F_{(i,j),mu} = sqrt(W_ij) (V^dag Omega_mu V)_ij over every LOO basis
+    element, in complex coordinates, from the state's double eigenvectors
+    and weights.  A column is kept when its squared residual exceeds clamp
+    times max(1, the largest squared column norm); the moduli are |q^dag f|
+    at kept columns and 0 elsewhere, with f = sqrt(W) * V^dag A V.
+    """
+    d = rho.dim
+    V = rho.eigenvectors.astype(np.clongdouble)
+    root = np.sqrt(weight_matrix(m, rho.eigenvalues).astype(np.longdouble)).ravel()
+
+    def columns(mats):
+        return np.stack(
+            [root * (V.conj().T @ np.asarray(M).astype(np.clongdouble) @ V).ravel() for M in mats],
+            axis=1,
+        )
+
+    F, f = columns(loo_basis(d)), columns(observables)
+    scale = max(1.0, float(np.max(np.sum(np.abs(F) ** 2, axis=0))))
+    kept = []
+    for k in range(d * d):
+        v = F[:, k]
+        for _ in range(2):
+            for _, q in kept:
+                v = v - q * (q.conj() @ v)
+        r2 = np.sum(np.abs(v) ** 2)
+        if r2 > clamp * scale:
+            kept.append((k, v / np.sqrt(r2)))
+    x = np.zeros((len(observables), d * d))
+    for k, q in kept:
+        x[:, k] = np.abs(q.conj() @ f).astype(float)
+    return x
 
 
 def loop_chain_Ik(x, y) -> np.ndarray:

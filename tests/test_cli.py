@@ -338,6 +338,20 @@ class TestScale:
         assert vals["I_1"] == pytest.approx(vals["product"], rel=1e-9)
 
 
+class TestFactorCases:
+    """Chain points where the Cholesky factor of the basis Gram matrix broke I_1 = product."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["factor_pure_d5_wyd.yaml", "factor_rank3_d5_sld.yaml", "factor_qubit_sld_near_xy.yaml"],
+    )
+    def test_chain_head_is_the_product(self, name, capsys):
+        assert main(["compute", str(DATA / name)]) == 0
+        header, rows = read_csv(capsys)
+        vals = dict(zip(header, map(float, rows[0])))
+        assert vals["I_1"] == pytest.approx(vals["product"], rel=1e-12)
+
+
 class TestPointWork:
     """What a sweep builds, counted by wrapping the builders: once per block of points."""
 
@@ -381,6 +395,9 @@ class TestPointWork:
         assert sizes == [2, 2, 1]
 
     def test_chain_and_sum_factor_once_per_block(self, tmp_path, capsys, monkeypatch):
+        # the moduli come from the terms K is built from: one weight matrix,
+        # one factor call and no Cholesky factor of the basis Gram matrix
+        factors = self.counting(monkeypatch, skewbounds.cli, "modulus_vectors")
         cholesky = self.counting(monkeypatch, skewbounds.loo, "cholesky_psd")
         weights = self.counting(monkeypatch, skewbounds.skewinfo, "weight_matrix")
         text = QUBIT_CHAIN.replace(
@@ -388,30 +405,28 @@ class TestPointWork:
         )
         rows = self.run_sweep(tmp_path, capsys, text)
         assert len(rows) == 5  # one block
-        assert len(cholesky) == 1
-        assert len(weights) == 2  # K of the observables and Gamma of the basis
+        assert len(factors) == 1
+        assert cholesky == []
+        assert len(weights) == 1
 
     def test_product_task_builds_no_factor(self, tmp_path, capsys, monkeypatch):
-        cholesky = self.counting(monkeypatch, skewbounds.loo, "cholesky_psd")
+        factors = self.counting(monkeypatch, skewbounds.cli, "modulus_vectors")
         weights = self.counting(monkeypatch, skewbounds.skewinfo, "weight_matrix")
         text = QUBIT_CHAIN.replace("  - chain: {A: A, B: B}", "  - product: {A: A, B: B}")
         rows = self.run_sweep(tmp_path, capsys, text)
         assert len(rows) == 5
-        assert cholesky == []
+        assert factors == []
         assert len(weights) == 1
 
     def test_pair_sum_builds_no_factor(self, tmp_path, capsys, monkeypatch):
         # the bound of a pair's sum is its trace of K, the sum itself
-        built = [
-            self.counting(monkeypatch, skewbounds.cli, name)
-            for name in ("loo_basis", "gram_matrix", "expand", "modulus_vector")
-        ]
+        factors = self.counting(monkeypatch, skewbounds.cli, "modulus_vectors")
         weights = self.counting(monkeypatch, skewbounds.skewinfo, "weight_matrix")
         text = QUBIT_CHAIN.replace("  - chain: {A: A, B: B}", "  - sum: {observables: [A, B]}")
         rows = self.run_sweep(tmp_path, capsys, text)
         assert len(rows) == 5
         assert all(row[2] == row[1] for row in rows)
-        assert built == [[], [], [], []]
+        assert factors == []
         assert len(weights) == 1
 
     def kernel_shapes(self, monkeypatch):
@@ -530,9 +545,11 @@ class TestBlocks:
         sweep = SweepTask("theta", 0.0, 1.5, steps)
         s = mixture_scenario(d, 3, (PairTask("chain", "A", "B"), sweep))
         calls = []
-        original = skewbounds.loo.cholesky_psd
+        original = skewbounds.cli.modulus_vectors
         monkeypatch.setattr(
-            skewbounds.loo, "cholesky_psd", lambda g: calls.append(len(g)) or original(g)
+            skewbounds.cli,
+            "modulus_vectors",
+            lambda rho, rotated, W: calls.append(len(rotated)) or original(rho, rotated, W),
         )
         assert main(["sweep", write(tmp_path, write_scenario(s))]) == 0
         header, rows = read_csv(capsys)

@@ -4,8 +4,10 @@ The files under ``tests/golden/`` were written by the CLI before the
 permutation searches were vectorized; regenerate one only for a change that
 is meant to alter the numbers, by running the listed arguments with
 ``--out tests/golden/<file>``.  The two chain sweeps were written before
-the CSV writer formatted runs of repeated values once; computing the Gram
-factor from F instead of Γ (ROADMAP item 2) will regenerate them on purpose.
+the CSV writer formatted runs of repeated values once.
+``chain_pure_d5_wyd.csv`` was regenerated when the Gram factor came to be
+computed from F instead of Γ, which moved values of two of its rows in the
+12th significant digit; the d = 4 sweep kept every byte.
 """
 
 from pathlib import Path

@@ -110,7 +110,11 @@ def cholesky_psd(gamma: np.ndarray) -> np.ndarray:
     Unlike the strictly-positive-definite factorization, rank deficiency is
     allowed: whenever a pivot falls at or below _SQRT_CLAMP (relative to
     the largest diagonal entry) the whole row is left zero and elimination
-    continues, so the result has exactly rank(gamma) nonzero rows.
+    continues, so the result has one nonzero row per pivot above the floor.
+    That can be more rows than gamma's rank: gamma squares the condition
+    number of F, and its rounding can leave a pivot above the floor where
+    the R factor of F has none (a surplus row).  The pipeline takes its
+    factor from F instead (modulus_vectors, gram_matrix).
 
     ``gamma`` may be one matrix (n, n) or a stack (T, n, n); the row loop
     runs once for the whole stack, each row computed for every matrix at once.
@@ -288,19 +292,19 @@ def gram_matrix(rho: DensityMatrix, basis: np.ndarray, m: MetricSpec) -> np.ndar
     """Canonical factor C of the Gram matrix Gamma = C^T C = F^T F.
 
     Gamma_{mu,nu} = Corr(Omega_mu, Omega_nu) is the correlation matrix of the
-    Hermitian basis elements, and C is the R factor of F (in real
-    coordinates) that orthonormalize gives: upper triangular and real, with
-    a positive diagonal at kept columns and zero rows at the others.  A
-    stack of T states gives a stack of T factors.
+    Hermitian basis elements, and C = Q^T F (in real coordinates) for the Q
+    that orthonormalize gives: the R factor of F at the kept columns and
+    zero rows at the others.  It is upper triangular with a positive
+    diagonal up to rounding, and up to the residuals of dropped columns,
+    which fall below the floor but stay in C, so that C a = Q^T f gives the
+    moduli of modulus_vectors.  A stack of T states gives a stack of T
+    factors.
     """
     rotated, W = eigenbasis_terms(rho, basis, m)
     n = len(basis)
     F = _real_terms(rotated, W).swapaxes(-1, -2).reshape(-1, W.shape[-1] - rho.dim, n)
-    Q, residuals = orthonormalize(F)
-    C = np.triu(Q.swapaxes(1, 2) @ F)
-    diag = C.reshape(-1, n * n)[:, :: n + 1]
-    diag[:] = np.where(np.any(Q, axis=1), np.sqrt(residuals), 0.0)
-    return C.reshape(rotated.shape[:-2] + (n, n))
+    Q = orthonormalize(F)[0]
+    return (Q.swapaxes(1, 2) @ F).reshape(rotated.shape[:-2] + (n, n))
 
 
 def modulus_vector(C: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

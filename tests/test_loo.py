@@ -386,6 +386,8 @@ class TestFactorFromF:
         if kind == "real":
             observables = [A.real.astype(complex) for A in observables]
         x, W = moduli_at(rho, observables, m)
+        rotated, weights = eigenbasis_terms(rho, observables, m)
+        norms = np.sum(loo._real_terms(rotated, weights) ** 2, axis=-1)
         K = correlation_matrix(rho, observables, m)
         C = gram_matrix(rho, loo_basis(d), m)
         ref = modulus_vector(C, expand(np.array(observables), loo_basis(d)))
@@ -395,12 +397,19 @@ class TestFactorFromF:
             kept = np.flatnonzero(C[t].diagonal()).tolist()
             assert np.all(np.count_nonzero(x[t], axis=-1) <= np.count_nonzero(support))
             assert not np.any(x[t][:, np.setdiff1d(every, kept)])
-            # plus K's own rounding, absolute: eigenvalues meant to be equal
-            # but split by rounding weigh about 1e-32, and K_ii of 2e-8 from
-            # entries of A~ near 1 has carried an error of 2.8e-21
+            # sum(x**2) = |f|^2, of which the moduli are an orthonormal
+            # change of coordinates, less the part of f whose columns fall
+            # to the floor: eigenvalues meant to be equal but split by
+            # rounding weigh about 1e-32
+            scale = np.array([np.sum(np.abs(A) ** 2) for A in observables])
+            assert np.all(
+                np.abs(np.sum(x[t] ** 2, axis=-1) - norms[t]) <= 1e-13 * norms[t] + 1e-28 * scale
+            )
+            # and |f|^2 = K_ii up to K's own rounding: errors of the entries
+            # of A~ scale with |A|_F, so a small K_ii carries them at about
+            # eps sqrt(K_ii) |A|_F (1.1e-19 at a K_ii of 3.1e-7)
             I = K[t].diagonal().real
-            floor = 1e-20 * np.array([np.sum(np.abs(A) ** 2) for A in observables])
-            assert np.all(np.abs(np.sum(x[t] ** 2, axis=-1) - I) <= 1e-13 * I + floor)
+            assert np.all(np.abs(norms[t] - I) <= 1e-13 * I + 1e-14 * np.sqrt(I * scale))
             assert np.max(np.abs(x[t] - ref[t])) <= 1e-12 * max(1.0, np.max(ref[t]))
             # where the pattern's columns pass the fast path's check, the
             # reference keeps exactly them

@@ -38,8 +38,13 @@ from .errors import (
 EXHAUSTIVE_CAP = 10**6
 # (point, permutation tuple) pairs evaluated per array pass of the sum-bound search.
 _CHUNK_ROWS = 1 << 15
-# Slack of the ordering checks, relative to max(1, |product|) or max(1, sum).
+# Slack of the ordering checks, relative to max(1, |product|) or max(1, sum);
+# the chain check's is relative to |product| alone (see check_product_chain).
 CHECK_TOL = 1e-9
+# Rounding the chain check allows beyond its relative slack, as a share of
+# (|A|_F |B|_F)^2: the part of f along columns of F that fall to the
+# factor's floor at eigenvalues split by rounding, about 1e-32 of it.
+CHAIN_ROUNDING = 1e-28
 
 
 @dataclass(frozen=True)
@@ -473,14 +478,17 @@ def check_cauchy(product, cauchy) -> None:
     )
 
 
-def check_product_chain(pc: ProductChain) -> None:
+def check_product_chain(pc: ProductChain, size=0.0) -> None:
     """Assert every ordering relation of the chains; raise InvariantViolation.
 
     I_1 matches the product within CHECK_TOL, both chains descend within
-    1e-10, and every entry lies in [cauchy, product] within CHECK_TOL.  Both
-    tolerances scale with max(1, |product|): absolute at unit scale,
-    relative for large observables.  A stacked chain is checked point by
-    point, and the first failing point is reported.
+    1e-10, and every entry lies in [cauchy, product] within CHECK_TOL, each
+    relative to |product| and plus CHAIN_ROUNDING times size, which is
+    (|A|_F |B|_F)^2 of the observables (one number, or one per point).
+    K and the moduli are read off one f, so I_1 and the product agree to a
+    relative rounding at every scale, a state near I/d included.  A
+    stacked chain is checked point by point, and the first failing point is
+    reported.
     """
     product = np.atleast_1d(pc.product)[:, None]
     cauchy = np.atleast_1d(pc.cauchy)[:, None]
@@ -488,9 +496,11 @@ def check_product_chain(pc: ProductChain) -> None:
     n = I.shape[1]
     # one row per point: I_1 .. I_n, then the S table from S_10 on
     IS = np.concatenate([I, np.atleast_2d(pc.S_table)], axis=1)
-    scale = _scale(product)
-    eq_tol = 1e-10 * scale
-    tol = CHECK_TOL * scale
+    # a NaN product gives no relative slack
+    scale = np.fmax(np.abs(product), 0.0)
+    rounding = CHAIN_ROUNDING * np.reshape(size, (-1, 1))
+    eq_tol = 1e-10 * scale + rounding
+    tol = CHECK_TOL * scale + rounding
     head = np.abs(I[:, :1] - product) > tol
     # I_{k+1} > I_k and each S after its predecessor, but not S_10 after I_n
     up = IS[:, 1:] > IS[:, :-1] + eq_tol

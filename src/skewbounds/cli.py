@@ -43,7 +43,7 @@ from .scenario import (
     parse_scenario,
     parse_scenario_text,
 )
-from .skewinfo import correlation_from_terms, eigenbasis_terms
+from .skewinfo import eigenbasis_terms
 
 # Values printed in the qutrit worked example, keyed by chain label.  The
 # endpoints are gauge-free; the intermediates depend on the factorization
@@ -108,12 +108,12 @@ def _compute_rows(
     """Evaluate all non-sweep tasks at each placeholder value: (header, (T, ncols) rows).
 
     rho is the stack of states at the placeholder values.  The observables
-    the tasks name are rotated into the eigenbasis and weighted once; one
-    stacked correlation matrix K covers them all, and the modulus vectors
-    are built from the same terms only for chain tasks and sums of three or
-    more observables, which are the ones that need them: the bound of a
-    pair's sum is its trace of K.  Each stage raises the error of
-    the first point that fails it, with ``row`` set.
+    the tasks name are rotated into the eigenbasis and weighted once, as one
+    real vector f each; one stacked correlation matrix K = f f^T covers them
+    all, and the modulus vectors are read off the same f only for chain
+    tasks and sums of three or more observables, which are the ones that
+    need them: the bound of a pair's sum is its trace of K.  Each stage
+    raises the error of the first point that fails it, with ``row`` set.
     """
     n = scenario.dim**2
     names, header, steps = _plan(scenario.tasks, n)
@@ -122,11 +122,11 @@ def _compute_rows(
     rows[:, 0] = thetas
     if names:
         observables = [scenario.observables[name] for name in names]
-        rotated, W = eigenbasis_terms(rho, observables, m)
-        K = correlation_from_terms(rotated, W)
+        f, W = eigenbasis_terms(rho, observables, m)
+        K = f @ f.swapaxes(-1, -2)
         if any(len(idx) > 2 if isinstance(task, SumTask) else task.kind == "chain"
                for task, idx, _ in steps):
-            moduli = modulus_vectors(rho, rotated, W)
+            moduli = modulus_vectors(rho, f, W)
     for task, idx, cols in steps:
         K_task = K[:, idx][:, :, idx]
         if isinstance(task, SumTask):
@@ -144,7 +144,8 @@ def _compute_rows(
             rows[:, cols[1]] = cauchy
         else:
             pc = product_chain(K_task, *moduli[:, idx].swapaxes(0, 1))
-            check_product_chain(pc)
+            a, b = (np.linalg.norm(observables[i]) for i in idx)
+            check_product_chain(pc, size=(a * b) ** 2)
             rows[:, cols[0]] = pc.product
             rows[:, cols[1]] = pc.cauchy
             rows[:, cols[2 : 2 + n]] = pc.I_seq

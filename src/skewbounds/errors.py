@@ -48,10 +48,6 @@ class InvariantViolation(SkewboundsError):
     """A computed result violated a bound-ordering invariant."""
 
 
-class InternalConsistencyError(SkewboundsError):
-    """An internal self-check failed (e.g. imaginary residue on a real quantity)."""
-
-
 def raise_first(checks) -> None:
     """Raise the error of the first failing point of a stack, if any fails.
 

@@ -20,9 +20,11 @@ F_{(i,j),mu} = sqrt(W_ij) (V^dag Omega_mu V)_ij over the weights W and the
 eigenvectors V of the state.  Its nonzero rows are Q^dag F, where Q spans
 the columns of F that depend on no earlier column: the columns J that a
 greedy left-to-right search keeps.  The moduli of an observable A with
-coefficients a are then |C a| = |Q^dag f| with f = sqrt(W) * V^dag A V.
-F and f are taken in real coordinates (see _real_terms), which change no
-inner product, so Gamma and C are real.
+coefficients a are then |C a| = |Q^dag f| with f = sqrt(W) * V^dag A V,
+the vector skewinfo.eigenbasis_terms gives and K = f f^T is formed from,
+so sum(x**2) = K_ii.  F and f are taken in real coordinates (see
+skewinfo._real_terms), which change no inner product, so Gamma and C are
+real.
 
 J depends only on where W is positive, since scaling a row of F by
 sqrt(W_ij) > 0 changes no column dependence, and W_ij = 0 exactly when
@@ -49,11 +51,13 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError
 from .linalg import DensityMatrix
 from .metrics import MetricSpec
-from .skewinfo import eigenbasis_terms
+from .skewinfo import _real_terms, eigenbasis_terms
 
-# Cholesky pivots, and squared column residuals of F, at or below this
-# relative to max(1, the largest diagonal entry of Gamma) are treated as
-# exact kernel directions.
+# Cholesky pivots at or below this relative to max(1, the largest diagonal
+# entry of Gamma), and squared column residuals of F at or below this
+# relative to the point's largest squared column norm or max W, are exact
+# kernel directions.  Scaling W changes no column dependence, so F's floor
+# has no absolute part: near I/d, where all of W is tiny, columns stay.
 _SQRT_CLAMP = 1e-12
 
 # The eigenbasis at which each pattern's columns are found, and the margin
@@ -150,7 +154,7 @@ def orthonormalize(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Column k of each point is orthogonalized against the columns kept
     before it twice ("twice is enough": Giraud, Langou and Rozloznik,
     2005).  It is kept when its squared residual norm exceeds _SQRT_CLAMP
-    times max(1, the largest squared column norm), and then Q's column k is
+    times the point's largest squared column norm, and then Q's column k is
     the unit residual; otherwise Q's column k is zero.  residuals (T, n)
     holds every squared residual norm, kept or not.  The rows of Q^dag F
     at kept columns are those of the factor C; the others are zero.
@@ -158,9 +162,7 @@ def orthonormalize(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     T, m, n = F.shape
     Q = np.zeros((T, m, n), dtype=np.result_type(F, float))
     residuals = np.zeros((T, n))
-    floor = _SQRT_CLAMP * np.maximum(
-        1.0, np.square(np.abs(F)).sum(axis=1).max(axis=1, initial=0.0)
-    )
+    floor = _SQRT_CLAMP * np.square(np.abs(F)).sum(axis=1).max(axis=1, initial=0.0)
     for k in range(n):
         v = F[:, :, k, None]
         for _ in range(2):
@@ -170,30 +172,6 @@ def orthonormalize(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keep = r2 > floor
         Q[keep, :, k] = v[keep, :, 0] / np.sqrt(r2[keep])[:, None]
     return Q, residuals
-
-
-@functools.cache
-def _upper(d: int) -> np.ndarray:
-    """Flat indices i d + j of the entries i < j of a d x d matrix, read-only."""
-    i, j = np.triu_indices(d, 1)
-    upper = i * d + j
-    upper.setflags(write=False)
-    return upper
-
-
-def _real_terms(terms: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """sqrt(W) * terms in real coordinates: (..., d^2) to (..., d(d-1)).
-
-    terms are Hermitian matrices in the eigenbasis, flattened, and W their
-    weights.  Entries (i, j) and (j, i) are conjugate and share a weight,
-    and W_ii = 0, so the unitary that takes each such pair to sqrt(2) times
-    the real and the imaginary part of its upper entry leaves every inner
-    product, and so K, Gamma and the R factor, as they are.
-    """
-    upper = _upper(int(round(np.sqrt(terms.shape[-1]))))
-    w = np.sqrt(2.0 * W[..., upper])
-    z = terms[..., upper]
-    return np.concatenate((w * z.real, w * z.imag), axis=-1)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -244,29 +222,31 @@ def _pattern_columns(d: int, support: bytes) -> tuple[int, ...] | None:
     return tuple(np.flatnonzero(kept).tolist())
 
 
-def modulus_vectors(rho: DensityMatrix, rotated: np.ndarray, W: np.ndarray) -> np.ndarray:
+def modulus_vectors(rho: DensityMatrix, f: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Moduli |C a| of a family of observables at a state: (N, d^2), or (T, N, d^2).
 
-    rotated and W are the terms skewinfo.eigenbasis_terms gives for the
-    observables at rho, one state or a stack of T states.  With
-    f = sqrt(W) * rotated, the moduli are |Q^T f| at the kept columns of F,
-    in real coordinates, and exact zeros at the others (see the module
-    docstring); sum(x**2) = I(A) = K_ii.
+    f and W are the terms skewinfo.eigenbasis_terms gives for the
+    observables at rho, one state or a stack of T states.  The moduli are
+    |Q^T f| at the kept columns of F and exact zeros at the others (see the
+    module docstring); sum(x**2) = |f|^2 = I(A) = K_ii.
 
     The points are grouped by where W > 0.  Each group takes one batched
-    QR of its pattern's columns J with the f of its observables appended:
-    R's first r = |J| columns check J, and the block beside them is Q^T f.
-    The floor is orthonormalize's, which is _SQRT_CLAMP here: a column of F
-    has a squared norm of at most max W <= 1/2 for every metric.  The
-    points where a column of J falls to the floor, and every point of a
-    pattern with no J, take orthonormalize over every column instead.
+    QR of its pattern's columns J with f appended: R's first r = |J|
+    columns check J, and the block beside them is Q^T f.  A column passes
+    when its squared R_jj exceeds _SQRT_CLAMP times the point's max W,
+    which bounds every squared column norm of F.  The points where a column
+    of J falls to that floor, and every point of a pattern with no J, take
+    orthonormalize over every column instead.
     """
-    N, n = rotated.shape[-2:]
+    N, m = f.shape[-2:]
     d = rho.dim
+    n = d * d
+    shape = f.shape[:-1] + (n,)
     V = rho.eigenvectors.reshape(-1, d, d)
     T = len(V)
     W = W.reshape(T, n)
-    f = _real_terms(rotated.reshape(T, N, n), W[:, None, :]).swapaxes(1, 2)
+    f = f.reshape(T, N, m)
+    floor = _SQRT_CLAMP * W.max(axis=1)
     x = np.zeros((T, N, n))
     support = W > 0
     todo = np.ones(T, dtype=bool)
@@ -278,33 +258,34 @@ def modulus_vectors(rho: DensityMatrix, rotated: np.ndarray, W: np.ndarray) -> n
         if columns is not None:
             r = len(columns)
             F = _basis_columns(V[points], W[points], columns)
-            R = np.linalg.qr(np.concatenate((F, f[points]), axis=2), mode="r")
-            ok = np.all(np.square(R.diagonal(axis1=1, axis2=2)[:, :r]) > _SQRT_CLAMP, axis=1)
+            R = np.linalg.qr(np.concatenate((F, f[points].swapaxes(1, 2)), axis=2), mode="r")
+            diag = R.diagonal(axis1=1, axis2=2)[:, :r]
+            ok = np.all(np.square(diag) > floor[points, None], axis=1)
             x[points[ok, None], :, list(columns)] = np.abs(R[ok, :r, r:])
             points = points[~ok]
         if len(points):
             Q = orthonormalize(_basis_columns(V[points], W[points], tuple(range(n))))[0]
-            x[points] = np.abs(f[points].swapaxes(1, 2) @ Q)
-    return x.reshape(rotated.shape)
+            x[points] = np.abs(f[points] @ Q)
+    return x.reshape(shape)
 
 
 def gram_matrix(rho: DensityMatrix, basis: np.ndarray, m: MetricSpec) -> np.ndarray:
     """Canonical factor C of the Gram matrix Gamma = C^T C = F^T F.
 
     Gamma_{mu,nu} = Corr(Omega_mu, Omega_nu) is the correlation matrix of the
-    Hermitian basis elements, and C = Q^T F (in real coordinates) for the Q
-    that orthonormalize gives: the R factor of F at the kept columns and
-    zero rows at the others.  It is upper triangular with a positive
-    diagonal up to rounding, and up to the residuals of dropped columns,
-    which fall below the floor but stay in C, so that C a = Q^T f gives the
-    moduli of modulus_vectors.  A stack of T states gives a stack of T
-    factors.
+    Hermitian basis elements, and C = Q^T F for the Q that orthonormalize
+    gives, with F the basis elements' f from skewinfo.eigenbasis_terms as
+    columns: the R factor of F at the kept columns and zero rows at the
+    others.  It is upper triangular with a positive diagonal up to
+    rounding, and up to the residuals of dropped columns, which fall below
+    the floor but stay in C, so that C a = Q^T f gives the moduli of
+    modulus_vectors.  A stack of T states gives a stack of T factors.
     """
-    rotated, W = eigenbasis_terms(rho, basis, m)
+    f = eigenbasis_terms(rho, basis, m)[0]
     n = len(basis)
-    F = _real_terms(rotated, W).swapaxes(-1, -2).reshape(-1, W.shape[-1] - rho.dim, n)
+    F = f.swapaxes(-1, -2).reshape(-1, f.shape[-1], n)
     Q = orthonormalize(F)[0]
-    return (Q.swapaxes(1, 2) @ F).reshape(rotated.shape[:-2] + (n, n))
+    return (Q.swapaxes(1, 2) @ F).reshape(f.shape[:-2] + (n, n))
 
 
 def modulus_vector(C: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

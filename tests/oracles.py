@@ -8,7 +8,7 @@
   bound as a reference for that identity.
 - Per-pair forms of the correlation measure and the norm baseline, one
   eigenbasis rotation per call, against which the correlation-matrix core
-  is checked.
+  is checked, and the complex form of K over all d^2 entries.
 - The Wigner-Yanase-Dyson trace formula with its matrix powers and
   commutators, the scalar Morozova-Chentsov function and pairwise weight,
   and the consecutive-difference identities of the chains.
@@ -245,6 +245,24 @@ def pairwise_correlation(
     return complex(np.sum(W * At.conj() * Bt))
 
 
+def complex_correlation_matrix(rho: DensityMatrix, observables, m: MetricSpec) -> np.ndarray:
+    """K = sum_ij W_ij conj(A~_i) A~_j over all d^2 complex entries, for one state.
+
+    Rounding leaves K only nearly Hermitian, so it is symmetrized and the
+    real part of its diagonal clamped at 0, as the package did before it
+    read K off one real vector per observable.
+    """
+    d = rho.dim
+    V = rho.eigenvectors
+    left = V.conj().T[None] @ np.asarray(observables)
+    rotated = (left.reshape(-1, d) @ V).reshape(len(observables), d * d)
+    W = weight_matrix(m, rho.eigenvalues).reshape(1, d * d)
+    K = (rotated.conj() * W) @ rotated.T
+    K = 0.5 * (K + K.conj().T)
+    np.fill_diagonal(K, np.maximum(K.diagonal().real, 0.0))
+    return K
+
+
 def pairwise_skew_information(rho: DensityMatrix, A: np.ndarray, m: MetricSpec) -> float:
     """Re Corr(A, A), with a negative rounding residue clamped to 0."""
     return max(pairwise_correlation(rho, A, A, m).real, 0.0)
@@ -413,18 +431,22 @@ def loop_table_Spq(x, y) -> dict[tuple[int, int], float]:
     return table
 
 
-def loop_check_product_chain(product, cauchy, S_table, tol: float = 1e-9) -> None:
+def loop_check_product_chain(
+    product, cauchy, S_table, tol: float = 1e-9, size: float = 0.0
+) -> None:
     """Every ordering relation of one point's chains, checked in turn.
 
     S_table is the dict of loop_table_Spq; the I chain is read off it, as
-    I_1 = S_10 and I_p = S_{p,p-1}.  Raises InvariantViolation with the
-    message of the first relation that fails.
+    I_1 = S_10 and I_p = S_{p,p-1}.  The slack is relative to |product|
+    (none for a NaN product), plus 1e-28 times size = (|A|_F |B|_F)^2.
+    Raises InvariantViolation with the message of the first relation that
+    fails.
     """
     n = max(p for p, _ in S_table)
     I_seq = [S_table[(1, 0)]] + [S_table[(p, p - 1)] for p in range(2, n + 1)]
-    scale = max(1.0, abs(product))
-    eq_tol = 1e-10 * scale
-    tol = tol * scale
+    scale = max(0.0, abs(product))
+    eq_tol = 1e-10 * scale + 1e-28 * size
+    tol = tol * scale + 1e-28 * size
     if abs(I_seq[0] - product) > tol:
         raise InvariantViolation(f"I_1 = {float(I_seq[0])!r} differs from product {product!r}")
     for k in range(1, n):

@@ -308,7 +308,7 @@ class TestScale:
         assert len(rows) == 100
 
     def test_qutrit_observables_times_1000(self, capsys):
-        # Corr(A, A) has an imaginary rounding residue above 1e-12 here
+        # I(A) ~ 1e6: the checks' slack is relative to the product
         assert main(["compute", str(DATA / "qutrit_x1000.yaml")]) == 0
         header, rows = read_csv(capsys)
         vals = dict(zip(header, map(float, rows[0])))
@@ -350,6 +350,49 @@ class TestFactorCases:
         header, rows = read_csv(capsys)
         vals = dict(zip(header, map(float, rows[0])))
         assert vals["I_1"] == pytest.approx(vals["product"], rel=1e-12)
+
+
+class TestOneRepresentation:
+    """K and the moduli read off one f: near I/d, where all of W is tiny, and
+    with observables Hermitian only to within the parser's tolerance."""
+
+    def test_near_mixed_qubit_chain_is_the_product(self, capsys):
+        assert main(["compute", str(DATA / "near_mixed_qubit_chain.yaml")]) == 0
+        header, rows = read_csv(capsys)
+        vals = dict(zip(header, map(float, rows[0])))
+        assert vals["product"] == pytest.approx(2.49999999918e-25, rel=1e-11, abs=0)
+        for key in header[2:]:
+            assert vals[key] == pytest.approx(vals["product"], rel=1e-12, abs=0), key
+
+    def test_near_mixed_sum_bound_is_scale_free(self, capsys):
+        # LB_thm3/sum at Bloch vectors of about 1e-7 and 1e-3
+        assert main(["sweep", str(DATA / "near_mixed_sum_n3_sld.yaml")]) == 0
+        header, rows = read_csv(capsys)
+        small, large = (dict(zip(header, map(float, row))) for row in rows)
+        assert small["sum"] == pytest.approx(1e-8 * large["sum"], rel=1e-6, abs=0)
+        assert large["LB_thm3"] < large["sum"]
+        ratio = large["LB_thm3"] / large["sum"]
+        assert small["LB_thm3"] / small["sum"] == pytest.approx(ratio, rel=1e-9)
+
+    def test_nearly_hermitian_chain_head_is_the_product(self, capsys):
+        assert main(["compute", str(DATA / "nearly_hermitian_qutrit_chain.yaml")]) == 0
+        header, rows = read_csv(capsys)
+        vals = dict(zip(header, map(float, rows[0])))
+        assert vals["I_1"] == pytest.approx(vals["product"], rel=1e-12, abs=0)
+
+    def test_chain_wrong_at_small_scale_exits_2(self, capsys, monkeypatch):
+        # an I chain of zeros against a product of 2.5e-25: the check's
+        # slack is relative to the product
+        table_Spq = skewbounds.bounds.table_Spq
+        monkeypatch.setattr(
+            skewbounds.bounds, "table_Spq", lambda x, y: np.zeros_like(table_Spq(x, y))
+        )
+        assert main(["compute", str(DATA / "near_mixed_qubit_chain.yaml")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "invariant violation: I_1 = 0.0 differs from product 2.49999999"
+        )
 
 
 class TestPointWork:

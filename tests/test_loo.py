@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_density, random_hermitian, random_unitary
-from oracles import longdouble_moduli, psd_sqrt, reconstruct, wyd_direct
+from oracles import (
+    complex_correlation_matrix,
+    longdouble_moduli,
+    psd_sqrt,
+    reconstruct,
+    wyd_direct,
+)
 from skewbounds import loo
 from skewbounds.cli import main
 from skewbounds.errors import DimensionMismatch, DomainError
@@ -317,13 +323,14 @@ class TestFactorFromF:
         assert capsys.readouterr().out == (GOLDEN / "reproduce1.csv").read_text(encoding="utf-8")
 
     def test_surplus_row_point(self):
-        # the Cholesky factor of Gamma keeps a seventh row here, where W has
-        # six positive entries, and its moduli miss the reference by 3.4e-6
+        # the Cholesky factor of Gamma, formed over all d^2 complex entries,
+        # keeps a seventh row here, where W has six positive entries, and
+        # its moduli miss the reference by 3.4e-6
         rng = np.random.default_rng([60, 4, 1])
         rho = random_density(rng, 4, 1)
         observables = [random_hermitian(rng, 4) for _ in range(2)]
         basis = loo_basis(4)
-        old = cholesky_psd(correlation_matrix(rho, basis, WY))
+        old = cholesky_psd(complex_correlation_matrix(rho, basis, WY))
         assert np.count_nonzero(np.any(old != 0, axis=1)) == 7
         x, W = moduli_at(rho, observables, WY)
         assert np.count_nonzero(W) == 6
@@ -355,7 +362,7 @@ class TestFactorFromF:
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        kind=st.sampled_from(["wishart", "degenerate", "real", "planar"]),
+        kind=st.sampled_from(["wishart", "degenerate", "real", "planar", "near_mixed"]),
         d=st.integers(2, 6),
         metric=st.sampled_from(range(len(METRICS))),
     )
@@ -369,6 +376,13 @@ class TestFactorFromF:
             phi = rng.uniform(0.0, 2 * np.pi, 4)
             bloch = np.stack([r * np.cos(phi), r * np.sin(phi), 0 * r], axis=1)
             rho = DensityMatrix.from_bloch(bloch)
+        elif kind == "near_mixed":
+            # I/d plus a spread of 1e-6 ... 1e-10, where all of W is tiny
+            d = int(rng.integers(2, 9))
+            spread = 10.0 ** -rng.uniform(6.0, 10.0, (4, 1, 1))
+            H = np.array([random_hermitian(rng, d) for _ in range(4)])
+            H -= np.trace(H, axis1=1, axis2=2)[:, None, None] * np.eye(d) / d
+            rho = DensityMatrix.from_matrix(np.eye(d) / d + spread * H)
         else:
             states = []
             for _ in range(4):
@@ -386,8 +400,7 @@ class TestFactorFromF:
         if kind == "real":
             observables = [A.real.astype(complex) for A in observables]
         x, W = moduli_at(rho, observables, m)
-        rotated, weights = eigenbasis_terms(rho, observables, m)
-        norms = np.sum(loo._real_terms(rotated, weights) ** 2, axis=-1)
+        norms = np.sum(eigenbasis_terms(rho, observables, m)[0] ** 2, axis=-1)
         K = correlation_matrix(rho, observables, m)
         C = gram_matrix(rho, loo_basis(d), m)
         ref = modulus_vector(C, expand(np.array(observables), loo_basis(d)))
@@ -405,16 +418,14 @@ class TestFactorFromF:
             assert np.all(
                 np.abs(np.sum(x[t] ** 2, axis=-1) - norms[t]) <= 1e-13 * norms[t] + 1e-28 * scale
             )
-            # and |f|^2 = K_ii up to K's own rounding: errors of the entries
-            # of A~ scale with |A|_F, so a small K_ii carries them at about
-            # eps sqrt(K_ii) |A|_F (1.1e-19 at a K_ii of 3.1e-7)
-            I = K[t].diagonal().real
-            assert np.all(np.abs(norms[t] - I) <= 1e-13 * I + 1e-14 * np.sqrt(I * scale))
-            assert np.max(np.abs(x[t] - ref[t])) <= 1e-12 * max(1.0, np.max(ref[t]))
+            # and K_ii is |f|^2, K being f f^T
+            I = K[t].diagonal()
+            assert np.all(np.abs(norms[t] - I) <= 1e-13 * I)
+            assert np.max(np.abs(x[t] - ref[t])) <= 1e-12 * np.max(ref[t])
             # where the pattern's columns pass the fast path's check, the
             # reference keeps exactly them
             J = loo._pattern_columns(d, support.tobytes())
             if J:
                 R = np.linalg.qr(loo._basis_columns(rho.eigenvectors[t : t + 1], W[t : t + 1], J), mode="r")
-                if np.all(np.square(R.diagonal(axis1=1, axis2=2)) > 1e-12):
+                if np.all(np.square(R.diagonal(axis1=1, axis2=2)) > 1e-12 * W[t].max()):
                     assert kept == list(J)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import point_arrays, random_density, random_hermitian, random_unitary
 from oracles import pairwise_correlation, wyd_direct
-from skewbounds.errors import DimensionMismatch, DomainError
+from skewbounds.errors import DimensionMismatch, DomainError, NotHermitian
 from skewbounds.linalg import PAULI_X, PAULI_Z, DensityMatrix
 from skewbounds.bounds import product_chain
 from skewbounds.loo import loo_basis
@@ -128,9 +128,24 @@ class TestCorrelationMatrix:
         rng = np.random.default_rng(10)
         rho = random_density(rng, 4, rank=2)
         K = correlation_matrix(rho, [random_hermitian(rng, 4) for _ in range(3)], WY)
-        assert np.array_equal(K, K.conj().T)
-        assert np.all(K.diagonal().imag == 0.0)
-        assert np.all(K.diagonal().real >= 0.0)
+        assert K.dtype == np.float64
+        assert np.array_equal(K, K.T)
+        assert np.all(K.diagonal() >= 0.0)
+
+    def test_rejects_an_observable_beyond_the_hermitian_tolerance(self):
+        rng = np.random.default_rng(11)
+        rho = random_density(rng, 3)
+        A = random_hermitian(rng, 3)
+        near, far = A.copy(), A.copy()
+        near[0, 1] += 5e-10
+        far[0, 1] += 1e-6
+        # within the tolerance, an observable is taken by its Hermitian part
+        K = correlation_matrix(rho, [near, A], WY)
+        assert np.array_equal(K, correlation_matrix(rho, [(near + near.conj().T) / 2, A], WY))
+        with pytest.raises(NotHermitian):
+            correlation_matrix(rho, [A, far], WY)
+        with pytest.raises(NotHermitian):
+            skew_information(rho, far, WY)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -139,7 +154,7 @@ class TestCorrelationMatrix:
     )
     @settings(max_examples=60, deadline=None)
     def test_scale_covariance(self, seed, c, kind):
-        # I(cA) = c^2 I(A), with no residue check tripping at large c
+        # I(cA) = c^2 I(A)
         rng = np.random.default_rng(seed)
         d = int(rng.integers(2, 6))
         rho = random_density(rng, d, rank=int(rng.integers(1, d + 1)))

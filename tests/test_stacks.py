@@ -165,15 +165,17 @@ def test_stacked_check_reports_the_first_failing_point(seed, d):
             target = values[which][t : t + 1] if which < 2 else values[which][t]
             target[int(rng.integers(target.size))] += rng.choice([-1.0, 1.0]) * rng.uniform(0, 2)
     product, cauchy, S = values
+    size = float(np.linalg.norm(obs[0]) * np.linalg.norm(obs[1])) ** 2
     keys = spq_order(d * d)
     expected = None
     for t in range(len(states)):
         table = dict(zip(keys, S[t].tolist()))
-        exc = violation(lambda: loop_check_product_chain(float(product[t]), float(cauchy[t]), table))
+        exc = violation(lambda: loop_check_product_chain(
+            float(product[t]), float(cauchy[t]), table, size=size))
         if exc is not None:
             expected = (t, str(exc))
             break
-    exc = violation(lambda: check_product_chain(ProductChain(product, cauchy, S)))
+    exc = violation(lambda: check_product_chain(ProductChain(product, cauchy, S), size=size))
     assert (exc and (exc.row, str(exc))) == (expected or None)
 
 

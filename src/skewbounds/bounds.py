@@ -38,12 +38,12 @@ from .errors import (
 EXHAUSTIVE_CAP = 10**6
 # (point, permutation tuple) pairs evaluated per array pass of the sum-bound search.
 _CHUNK_ROWS = 1 << 15
-# Slack of the ordering checks, relative to max(1, |product|) or max(1, sum);
-# the chain check's is relative to |product| alone (see check_product_chain).
+# Slack of the ordering checks, relative to max(1, sum) for the sum check and
+# to |product| alone for the chain and Cauchy checks (see check_product_chain).
 CHECK_TOL = 1e-9
-# Rounding the chain check allows beyond its relative slack, as a share of
-# (|A|_F |B|_F)^2: the part of f along columns of F that fall to the
-# factor's floor at eigenvalues split by rounding, about 1e-32 of it.
+# Rounding the chain and Cauchy checks allow beyond their relative slack, as
+# a share of (|A|_F |B|_F)^2: the part of f along columns of F that fall to
+# the factor's floor at eigenvalues split by rounding, about 1e-32 of it.
 CHAIN_ROUNDING = 1e-28
 
 
@@ -459,20 +459,17 @@ def product_chain(K, x, y) -> ProductChain:
     return ProductChain(product=product, cauchy=cauchy, S_table=table_Spq(x, y))
 
 
-def _scale(product) -> np.ndarray:
-    """max(1, |product|) per point; a NaN product gives 1, as Python's max does."""
-    return np.fmax(1.0, np.abs(product))
-
-
-def check_cauchy(product, cauchy) -> None:
+def check_cauchy(product, cauchy, size=0.0) -> None:
     """Assert the Cauchy-Schwarz bound does not exceed the product.
 
-    The tolerance CHECK_TOL scales with max(1, |product|).  Arrays are
-    checked point by point.
+    The slack is the chain check's: CHECK_TOL relative to |product|, plus
+    CHAIN_ROUNDING times size, (|A|_F |B|_F)^2 of the observables (one
+    number, or one per point).  Arrays are checked point by point.
     """
     product, cauchy = np.atleast_1d(product), np.atleast_1d(cauchy)
+    tol = CHECK_TOL * np.abs(product) + CHAIN_ROUNDING * size
     raise_first(
-        [(cauchy > product + CHECK_TOL * _scale(product),
+        [(cauchy > product + tol,
           lambda t: InvariantViolation(
               f"cauchy {float(cauchy[t])!r} exceeds product {float(product[t])!r}"))]
     )
@@ -581,7 +578,8 @@ def check_sum_report(report: SumBoundReport) -> None:
     """
     total = np.atleast_1d(report.sum_value)
     para, norm = np.atleast_1d(report.parallelogram), np.atleast_1d(report.norm_bound)
-    tol = CHECK_TOL * _scale(total)
+    # max(1, |sum|) per point; a NaN sum gives 1, as Python's max does
+    tol = CHECK_TOL * np.fmax(1.0, np.abs(total))
     raise_first(
         [
             (total < para - tol,

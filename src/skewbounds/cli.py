@@ -137,15 +137,17 @@ def _compute_rows(
             rows[:, cols[0]] = report.sum_value
             rows[:, cols[1]] = report.parallelogram
             rows[:, cols[2]] = report.norm_bound
-        elif task.kind == "product":
+            continue
+        a, b = (np.linalg.norm(observables[i]) for i in idx)
+        size = (a * b) ** 2  # the checks' rounding scale
+        if task.kind == "product":
             product, cauchy = product_and_cauchy(K_task)
-            check_cauchy(product, cauchy)
+            check_cauchy(product, cauchy, size=size)
             rows[:, cols[0]] = product
             rows[:, cols[1]] = cauchy
         else:
             pc = product_chain(K_task, *moduli[:, idx].swapaxes(0, 1))
-            a, b = (np.linalg.norm(observables[i]) for i in idx)
-            check_product_chain(pc, size=(a * b) ** 2)
+            check_product_chain(pc, size=size)
             rows[:, cols[0]] = pc.product
             rows[:, cols[1]] = pc.cauchy
             rows[:, cols[2 : 2 + n]] = pc.I_seq

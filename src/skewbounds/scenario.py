@@ -300,15 +300,27 @@ def _complex_entry(entry, where: str):
 def _parse_observable(name: str, rows) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise ParseError(f"observable {name!r}: expected a list of rows")
-    mat = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != len(rows):
-            raise ParseError(f"observable {name!r}: row {i} is not length {len(rows)}")
-        where = f"observable {name!r} row {i}"
-        try:
-            mat.append([complex(*map(float, _complex_entry(e, where))) for e in row])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"{where}: entries must be numbers ({exc})") from exc
+    d = len(rows)
+    try:
+        pairs = np.array(rows)
+    except ValueError:  # ragged rows
+        pairs = None
+    if pairs is not None and pairs.shape == (d, d, 2) and pairs.dtype.kind in "iuf":
+        # d x d [re, im] pairs of numbers, none beyond int64: each plane
+        # converts as float() does, so entries are complex(float(re), float(im))
+        mat = np.empty((d, d), complex)
+        mat.real = pairs[..., 0]
+        mat.imag = pairs[..., 1]
+    else:
+        mat = []
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != d:
+                raise ParseError(f"observable {name!r}: row {i} is not length {d}")
+            where = f"observable {name!r} row {i}"
+            try:
+                mat.append([complex(*map(float, _complex_entry(e, where))) for e in row])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ParseError(f"{where}: entries must be numbers ({exc})") from exc
     try:
         return as_observable(mat)
     except Exception as exc:

@@ -394,6 +394,24 @@ class TestOneRepresentation:
             "invariant violation: I_1 = 0.0 differs from product 2.49999999"
         )
 
+    def test_cauchy_wrong_at_small_scale_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a Cauchy bound of twice the product, 5e-25: the product check's
+        # slack is relative to the product, as the chain check's is
+        text = (DATA / "near_mixed_qubit_chain.yaml").read_text(encoding="utf-8")
+        path = tmp_path / "near_mixed_product.yaml"
+        path.write_text(text.replace("- chain:", "- product:"), encoding="utf-8")
+        product_and_cauchy = skewbounds.cli.product_and_cauchy
+
+        def doubled(K):
+            product, cauchy = product_and_cauchy(K)
+            return product, 2 * cauchy
+
+        monkeypatch.setattr(skewbounds.cli, "product_and_cauchy", doubled)
+        assert main(["compute", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invariant violation: cauchy 4.99999999")
+
 
 class TestPointWork:
     """What a sweep builds, counted by wrapping the builders: once per block of points."""

@@ -152,6 +152,47 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError):
             DensityMatrix.from_pure([1.0, 0.0, 1.0])
 
+    def test_hermitian_within_its_scale_fails_on_its_eigenvalue(self):
+        # off Hermitian by 1.5e-9, above TOL_HERM but within TOL_HERM * max|M_ij|
+        M = np.diag([2.0, -1.0]) + 0.75e-9 * np.array([[0, 1], [-1, 0]])
+        with pytest.raises(ValidationError, match="negative eigenvalue -1.000e"):
+            DensityMatrix.from_matrix(M)
+
+    @pytest.mark.parametrize(
+        "points, row, message",
+        [
+            (["valid", "negative", "trace", "inf", "skew"], 2,
+             "density matrix trace (1.1+0j) is not 1"),
+            (["valid", "skew_and_trace", "trace"], 1, "density matrix is not Hermitian"),
+            (["valid", "nearly_hermitian", "valid", "inf"], 3, "matrix entries must be finite"),
+            (["valid", "nan", "trace"], 1, "matrix entries must be finite"),
+            (["valid", "nearly_hermitian", "negative"], 1,
+             "density matrix has negative eigenvalue -1.000e+00"),
+            (["valid", "barely_skew"], 1, "density matrix is not Hermitian"),
+            (["barely_trace"], 0, "density matrix trace (1.0000000020000002+0j) is not 1"),
+        ],
+        ids=["trace-first", "hermitian-before-trace", "finite-after-negative", "nan",
+             "negative-first", "just-beyond-hermitian", "just-beyond-trace"],
+    )
+    def test_stack_reports_its_first_failing_point(self, points, row, message):
+        # the eigenvalue check runs only once every point is finite,
+        # Hermitian and of unit trace
+        states = {
+            "valid": np.diag([0.5, 0.5]),
+            "negative": np.diag([1.5, -0.5]),
+            "nearly_hermitian": np.diag([2.0, -1.0]) + 0.75e-9 * np.array([[0, 1], [-1, 0]]),
+            "trace": np.diag([0.5, 0.6]),
+            "skew": np.array([[0.5, 0.1], [0.0, 0.5]]),
+            "barely_skew": np.array([[0.5, 2e-9], [0.0, 0.5]]),
+            "barely_trace": np.diag([0.5, 0.5 + 2e-9]),
+            "skew_and_trace": np.array([[0.5, 0.1], [0.0, 0.6]]),
+            "inf": np.array([[np.inf, 0.0], [0.0, 0.5]]),
+            "nan": np.array([[0.5, np.nan], [0.0, 0.5]]),
+        }
+        with pytest.raises(ValidationError) as info:
+            DensityMatrix.from_matrix(np.array([states[p] for p in points]))
+        assert (info.value.row, str(info.value)) == (row, message)
+
     def test_eigen_data_consistent(self):
         rng = np.random.default_rng(9)
         rho = random_density(rng, 4, rank=2)
@@ -167,6 +208,12 @@ def test_as_observable_rejects_non_hermitian():
     assert A.dtype == complex
 
 
+@pytest.mark.parametrize("bad", [np.inf, complex(0, np.nan)])
+def test_as_observable_rejects_non_finite(bad):
+    with pytest.raises(ValidationError, match="matrix entries must be finite"):
+        as_observable([[1, 0], [0, bad]])
+
+
 def test_hermitian_tolerance_scales_with_the_entries():
     # U diag U^dagger at 1e8 carries rounding above an absolute 1e-9 on
     # every draw; relative to its entries it is far below
@@ -177,3 +224,17 @@ def test_hermitian_tolerance_scales_with_the_entries():
         assert np.array_equal(as_observable(A), A)
     with pytest.raises(NotHermitian):
         as_observable(1e8 * np.array([[0, 1], [1 + 1e-6, 0]]))
+
+
+@pytest.mark.parametrize(
+    "diagonal, off, passes",
+    [(1.0, 5e-10, True), (5.0, 2e-9, True), (1.0, 2e-9, False)],
+    ids=["within-1e-9", "within-its-scale", "beyond-unit-scale"],
+)
+def test_hermitian_tolerance_around_the_absolute_one(diagonal, off, passes):
+    A = np.array([[diagonal, 0.5 + off], [0.5, 0.0]])
+    if passes:
+        assert np.array_equal(as_observable(A), A)
+    else:
+        with pytest.raises(NotHermitian, match="deviates from Hermitian by 2.000e-09"):
+            as_observable(A)

@@ -186,6 +186,91 @@ class TestParse:
         assert not parse_scenario_text(MINIMAL).uses_theta()
 
 
+def entry_complex(entry) -> complex:
+    """An observable entry as the per-entry reading builds it."""
+    re, im = entry if isinstance(entry, list) else (entry, 0.0)
+    return complex(float(re), float(im))
+
+
+def hermitian_rows(upper: list, d: int) -> list:
+    """d x d [re, im] rows with upper[k] above the diagonal and its conjugate below."""
+    rows = [[None] * d for _ in range(d)]
+    pairs = iter(upper)
+    for i in range(d):
+        for j in range(i, d):
+            re, im = next(pairs)
+            if i == j:
+                rows[i][i] = [re, 0 * im]
+            else:
+                rows[i][j], rows[j][i] = [re, im], [re, -im]
+    return rows
+
+
+NUMBERS = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.integers(-(2**63), 2**64 - 1),
+    st.integers(-(2**53), 2**53),
+)
+
+
+class TestObservableEntries:
+    """Observables read as one array where the entries allow, entry by entry otherwise."""
+
+    @given(st.integers(1, 8).flatmap(
+        lambda d: st.tuples(st.just(d), st.lists(
+            st.tuples(NUMBERS, NUMBERS), min_size=d * (d + 1) // 2, max_size=d * (d + 1) // 2
+        ))
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_number_pairs_read_as_entries(self, case):
+        d, upper = case
+        rows = hermitian_rows(upper, d)
+        expected = np.array([[entry_complex(e) for e in row] for row in rows])
+        A = skewbounds.scenario._parse_observable("A", rows)
+        assert A.dtype == complex
+        assert A.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 0], [0, -1]],
+            [[1, [0.0, -1.0]], [[0.0, 1.0], 0]],
+            [[["1.5", "0"], [0, 0]], [[0, 0], ["-1", 0]]],
+            [[[True, False]]],
+            [[[2**70, 0]]],
+        ],
+        ids=["plain-numbers", "numbers-and-pairs", "numeric-strings", "bool-pair",
+             "int-beyond-int64"],
+    )
+    def test_other_entries_read_one_by_one(self, rows):
+        expected = np.array([[entry_complex(e) for e in row] for row in rows])
+        A = skewbounds.scenario._parse_observable("A", rows)
+        assert A.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            ([[[0.0, 0.0], [1.0, 0.0]], [[1.0, None], [0.0, 0.0]]], ParseError,
+             "observable 'A' row 1: entries must be numbers (float() argument must be "
+             "a string or a real number, not 'NoneType')"),
+            ([[[2**1100, 0]]], ParseError,
+             "observable 'A' row 0: entries must be numbers (int too large to convert to float)"),
+            ([[2**1100]], ValidationError,
+             "observable 'A' row 0: int too large to convert to float"),
+            ([[[1, 0, 0]]], ParseError,
+             "observable 'A' row 0: entry [1, 0, 0] is not a number or [re, im] pair"),
+            ([[[1, 0], [0, 0]], [[0, 0]]], ParseError, "observable 'A': row 1 is not length 2"),
+        ],
+        ids=["none", "int-beyond-float-in-pair", "int-beyond-float", "three-element-entry",
+             "short-row"],
+    )
+    def test_bad_entries_keep_their_message(self, rows, error, message):
+        with pytest.raises(error) as info:
+            skewbounds.scenario._parse_observable("A", rows)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_shipped_examples(self, n):

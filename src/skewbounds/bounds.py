@@ -459,12 +459,12 @@ def product_chain(K, x, y) -> ProductChain:
     return ProductChain(product=product, cauchy=cauchy, S_table=table_Spq(x, y))
 
 
-def check_cauchy(product, cauchy, size=0.0) -> None:
+def check_cauchy(product, cauchy, size) -> None:
     """Assert the Cauchy-Schwarz bound does not exceed the product.
 
-    The slack is the chain check's: CHECK_TOL relative to |product|, plus
-    CHAIN_ROUNDING times size, (|A|_F |B|_F)^2 of the observables (one
-    number, or one per point).  Arrays are checked point by point.
+    size is (|A|_F |B|_F)^2 of the two observables, one number or one per
+    point.  The slack is the chain check's: CHECK_TOL relative to |product|,
+    plus CHAIN_ROUNDING times size.  Arrays are checked point by point.
     """
     product, cauchy = np.atleast_1d(product), np.atleast_1d(cauchy)
     tol = CHECK_TOL * np.abs(product) + CHAIN_ROUNDING * size

@@ -43,7 +43,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The last-line JSON result of one benchmark run in tree."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", f"{seconds:g}", "--trace", "0"],
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True,
     )
     if proc.returncode != 0:
